@@ -133,23 +133,25 @@ type Config struct {
 	Spans bool
 	// Retry is the client edge's resilience policy: per-attempt
 	// deadlines, capped-backoff retries under an optional token-bucket
-	// budget, and optional hedging. The zero value disables all of it.
+	// budget, and optional hedging. The zero value sends each request
+	// exactly once, with no deadline and no hedge.
 	Retry load.RetryPolicy
 	// Faults, when non-nil, is the deterministic fault schedule
 	// installed at Serve (see FaultPlan).
 	Faults *FaultPlan
 	// Health enables passive outlier ejection at the client edge. The
-	// zero value disables it.
+	// zero value never ejects a node.
 	Health HealthConfig
 }
 
 // flight is one attempt's routing state, reused across its network
-// hops. Without resilience a request is exactly one attempt and
-// aid == rid. Field ownership is disciplined for sharded runs: rid,
-// aid, node, hedge, and c are immutable after dispatch; closed and
-// timeoutEv are touched only on the client engine; arrive, start, and
-// done only on the node engine until the reply (or failure) message
-// hands the flight back to the client, which is a causal transfer.
+// hops. Under a zero RetryPolicy a request is exactly one attempt, and
+// because sources number requests in arrival order, aid == rid. Field
+// ownership is disciplined for sharded runs: rid, aid, node, hedge, and
+// c are immutable after dispatch; closed and timeoutEv are touched only
+// on the client engine; arrive, start, and done only on the node engine
+// until the reply (or failure) message hands the flight back to the
+// client, which is a causal transfer.
 type flight struct {
 	c *Cluster
 	// rid is the request id (client meter, spans, sources).
@@ -172,7 +174,8 @@ type flight struct {
 	// timeoutEv is the pending per-attempt deadline timer.
 	timeoutEv sim.Event
 	// arrive, start, and done buffer the node-side hop instants; the
-	// winning attempt's values are copied into the request's span.
+	// winning attempt's values are copied into the request's span when
+	// it resolves, so every span is stamped by the same rule.
 	arrive, start, done sim.Time
 }
 
@@ -207,9 +210,10 @@ type Cluster struct {
 	// unsharded mode, so their instants agree.
 	look sim.Duration
 
-	// Resilience state; all nil/zero when Config enables none of it.
-	// rs is per-request state (indexed by rid), hstate the client
-	// edge's per-node liveness view. Client-engine-owned.
+	// Resilience state, client-engine-owned. rs is per-request state
+	// (indexed by rid), allocated at Serve; hstate is the client edge's
+	// per-node liveness view, grown by AddNode. Under a zero policy it
+	// stays idle: one attempt per request, every node live.
 	rs         []rstate
 	hstate     []healthState
 	res        Resilience
@@ -374,6 +378,8 @@ func (c *Cluster) AddNode(name string, sys *stack.System, newBackend func(done f
 		panic("cluster: node " + name + " system not built on NodeEngine(" + fmt.Sprint(ni) + ")")
 	}
 	c.nodes = append(c.nodes, n)
+	c.hstate = append(c.hstate, healthState{c: c, ni: ni})
+	c.liveNodes++
 	n.backend = newBackend(func(id int) { c.nodeDone(ni, id) })
 	return n
 }
@@ -390,13 +396,8 @@ func (c *Cluster) StartedFunc(ni int) func(id int) {
 	n := c.nodes[ni]
 	return func(id int) {
 		f := n.inflight[id]
-		if f == nil {
-			return
-		}
-		if c.rs != nil {
+		if f != nil {
 			f.start = n.eng.Now()
-		} else {
-			c.spans[f.rid].Start = n.eng.Now()
 		}
 	}
 }
@@ -428,14 +429,7 @@ func (c *Cluster) Serve(src load.Source, n int) {
 			c.spans[i].ID = i
 		}
 	}
-	if c.cfg.resilient() {
-		c.rs = make([]rstate, n)
-		c.hstate = make([]healthState, len(c.nodes))
-		for i := range c.hstate {
-			c.hstate[i] = healthState{c: c, ni: i}
-		}
-		c.liveNodes = len(c.nodes)
-	}
+	c.rs = make([]rstate, n)
 	if c.cfg.Faults != nil {
 		c.cfg.Faults.install(c)
 	}
@@ -469,8 +463,8 @@ func (c *Cluster) startObs() {
 	}
 }
 
-// regStop carries a remote registry-stop: stop scraping, trim samples
-// past the shard-invariant cutoff (the final-completion instant).
+// regStop carries a registry-stop: stop scraping, trim samples past
+// the shard-invariant cutoff (the final-completion instant).
 type regStop struct {
 	reg    *obs.Registry
 	cutoff sim.Time
@@ -491,54 +485,53 @@ func (c *Cluster) stopObs(now sim.Time) {
 	}
 	c.clientReg.Stop(now)
 	for _, n := range c.nodes {
-		if n.eng == c.Eng {
-			n.reg.Stop(now)
-		} else {
-			c.client.Send(n.shard, now.Add(c.group.Lookahead()), stopReg, &regStop{reg: n.reg, cutoff: now})
-		}
+		c.hop(n, true, teardown, stopReg, &regStop{reg: n.reg, cutoff: now})
 	}
 }
 
-// submit routes one arrival: meter it, pick the node, and send the
-// request across the node's link. Runs on the client engine; a node on
-// another shard receives the request as a cross-shard message delivered
-// at the same virtual instant the shared engine would have used.
+// teardown is the hop delay of an end-of-run notice: it runs at once on
+// a node that shares the client's engine and one lookahead later on a
+// remote shard, the earliest safe instant.
+const teardown sim.Duration = -1
+
+// hop carries fn(arg) across node n's router↔node link — toward the
+// node when toNode, back to the client edge otherwise — to fire d after
+// the sender's current instant. When both ends share an engine it is a
+// local timer; across shards it is a pdes message for the same instant,
+// and every hop delay is at least one network latency, so it satisfies
+// the lookahead by construction.
+func (c *Cluster) hop(n *Node, toNode bool, d sim.Duration, fn func(any), arg any) {
+	if n.eng == c.Eng {
+		if d == teardown {
+			fn(arg)
+		} else {
+			c.Eng.AfterFunc(d, fn, arg)
+		}
+		return
+	}
+	if d == teardown {
+		d = c.look
+	}
+	from, to := n.shard, c.client
+	if toNode {
+		from, to = to, from
+	}
+	from.Send(to, from.Now().Add(d), fn, arg)
+}
+
+// submit admits one arrival: meter it, feed the retry budget, and hand
+// it to dispatch, which owns routing, deadlines, and hedging. Runs on
+// the client engine.
 func (c *Cluster) submit(id int) {
 	now := c.Eng.Now()
 	c.meter.Submitted(id, now)
-	if c.rs != nil {
-		// Resilient path: every original request feeds the retry
-		// budget, and dispatch owns routing, deadlines, and hedging.
-		if c.cfg.Retry.Budget != nil {
-			c.cfg.Retry.Budget.Deposit()
-		}
-		if c.spans != nil {
-			c.spans[id].Submit = now
-		}
-		c.dispatch(id, false)
-		return
+	if c.cfg.Retry.Budget != nil {
+		c.cfg.Retry.Budget.Deposit()
 	}
-	ni := c.router.Pick(Request{ID: id, Session: c.session(id)})
-	if ni < 0 || ni >= len(c.nodes) {
-		panic(fmt.Sprintf("cluster: router %s picked node %d of %d", c.router.Name(), ni, len(c.nodes)))
-	}
-	n := c.nodes[ni]
-	n.dispatched++
-	n.outstanding++
 	if c.spans != nil {
-		sp := &c.spans[id]
-		sp.Node = n.Name
-		sp.Submit = now
+		c.spans[id].Submit = now
 	}
-	f := &flight{c: c, rid: id, aid: id, node: ni}
-	d := n.reqLink.delay(now, c.cfg.Net.RequestLatency, c.cfg.Net.RequestBytes, c.cfg.Net.LinkBandwidth)
-	if n.eng == c.Eng {
-		c.Eng.AfterFunc(d, deliverFlight, f)
-	} else {
-		// d >= RequestLatency >= lookahead: every hop delay satisfies
-		// the conservative bound by construction.
-		c.client.Send(n.shard, now.Add(d), deliverFlight, f)
-	}
+	c.dispatch(id, false)
 }
 
 // deliverFlight is the attempt's arrival at its node. Runs on the
@@ -550,76 +543,37 @@ func deliverFlight(arg any) {
 	n := c.nodes[f.node]
 	now := n.eng.Now()
 	if n.dead {
-		c.sendFail(n, f, now)
+		c.sendFail(n, f)
 		return
 	}
 	n.inflight[f.aid] = f
 	n.meter.Submitted(f.aid, now)
-	if c.spans != nil {
-		if c.rs != nil {
-			f.arrive = now
-		} else {
-			c.spans[f.rid].Arrive = now
-		}
-	}
+	f.arrive = now
 	n.backend.Submit(f.aid)
 }
 
 // nodeDone is the backend completion callback: meter the node-internal
 // latency and send the reply back across the link. Runs on the node's
-// engine. With the fault layer active an unknown attempt id is counted
-// and discarded — it is cancelled or crashed-away work finishing on a
-// backend that cannot abort — instead of the hard panic the plain path
-// keeps for catching real bookkeeping bugs.
+// engine. A completion for an unknown attempt id is cancelled or
+// crashed-away work finishing on a backend that cannot abort; it is
+// counted and discarded when the config can abandon attempts, and is a
+// bookkeeping bug — a hard panic — when it cannot.
 func (c *Cluster) nodeDone(ni, id int) {
 	n := c.nodes[ni]
 	now := n.eng.Now()
 	f := n.inflight[id]
 	if f == nil || f.node != ni {
-		if c.rs != nil {
-			n.orphans++
-			return
+		if !c.cfg.abandons() {
+			panic(fmt.Sprintf("cluster: node %d completed unknown request %d", ni, id))
 		}
-		panic(fmt.Sprintf("cluster: node %d completed unknown request %d", ni, id))
-	}
-	n.meter.Completed(id, now)
-	if c.spans != nil {
-		if c.rs != nil {
-			f.done = now
-		} else {
-			c.spans[f.rid].Done = now
-		}
-	}
-	delete(n.inflight, id)
-	d := n.repLink.delay(now, c.cfg.Net.ReplyLatency, c.cfg.Net.ReplyBytes, c.cfg.Net.LinkBandwidth)
-	if n.eng == c.Eng {
-		c.Eng.AfterFunc(d, replyFlight, f)
-	} else {
-		n.shard.Send(c.client, now.Add(d), replyFlight, f)
-	}
-}
-
-// replyFlight is the reply's arrival back at the client edge: close the
-// end-to-end measurement and, after the final reply, drain the fleet.
-// Runs on the client engine; remote nodes receive the stop one
-// lookahead later (the earliest safe instant), after all metered work
-// is already done.
-func replyFlight(arg any) {
-	f := arg.(*flight)
-	c := f.c
-	now := c.Eng.Now()
-	if c.rs != nil {
-		c.replyResilient(f, now)
+		n.orphans++
 		return
 	}
-	c.meter.Completed(f.rid, now)
-	c.nodes[f.node].outstanding--
-	c.completed++
-	if c.spans != nil {
-		c.spans[f.rid].Reply = now
-	}
-	c.src.Completed(f.rid)
-	c.maybeFinish(now)
+	n.meter.Completed(id, now)
+	f.done = now
+	delete(n.inflight, id)
+	d := n.repLink.delay(now, c.cfg.Net.ReplyLatency, c.cfg.Net.ReplyBytes, c.cfg.Net.LinkBandwidth)
+	c.hop(n, false, d, replyFlight, f)
 }
 
 // maybeFinish tears the fleet down once every request has resolved —
@@ -632,16 +586,12 @@ func (c *Cluster) maybeFinish(now sim.Time) {
 	c.finished = true
 	c.doneAt = now
 	for _, n := range c.nodes {
-		if n.eng == c.Eng {
-			n.backend.Stop()
-		} else {
-			c.client.Send(n.shard, now.Add(c.group.Lookahead()), stopNode, n)
-		}
+		c.hop(n, true, teardown, stopNode, n)
 	}
 	c.stopObs(now)
 }
 
-// stopNode drains one remote node's backend, in its own shard context.
+// stopNode drains one node's backend in its home engine's context.
 func stopNode(arg any) { arg.(*Node).backend.Stop() }
 
 // Completed reports how many requests finished end to end.
@@ -704,13 +654,11 @@ func (c *Cluster) abandon(horizon sim.Duration) {
 				continue
 			}
 			sp.Outcome = obs.OutcomeAbandoned
-			if c.rs != nil {
-				rs := &c.rs[i]
-				sp.Attempts = rs.attempts
-				if f := rs.primary; f != nil {
-					sp.Node = c.nodes[f.node].Name
-					sp.Arrive, sp.Start, sp.Done = f.arrive, f.start, f.done
-				}
+			rs := &c.rs[i]
+			sp.Attempts = rs.attempts
+			if f := rs.primary; f != nil {
+				sp.Node = c.nodes[f.node].Name
+				sp.Arrive, sp.Start, sp.Done = f.arrive, f.start, f.done
 			}
 		}
 	}

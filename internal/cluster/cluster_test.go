@@ -431,9 +431,9 @@ func TestSpansRecordHopTimeline(t *testing.T) {
 	ms := sim.Millisecond
 	want := []obs.Span{
 		{ID: 0, Node: "a-node", Submit: 0, Arrive: sim.Time(2 * ms), Start: sim.Time(2 * ms),
-			Done: sim.Time(12 * ms), Reply: sim.Time(15 * ms)},
+			Done: sim.Time(12 * ms), Reply: sim.Time(15 * ms), Outcome: obs.OutcomeOK, Attempts: 1},
 		{ID: 1, Node: "a-node", Submit: 0, Arrive: sim.Time(2 * ms), Start: sim.Time(12 * ms),
-			Done: sim.Time(22 * ms), Reply: sim.Time(25 * ms)},
+			Done: sim.Time(22 * ms), Reply: sim.Time(25 * ms), Outcome: obs.OutcomeOK, Attempts: 1},
 	}
 	for i := range want {
 		if spans[i] != want[i] {
@@ -445,6 +445,11 @@ func TestSpansRecordHopTimeline(t *testing.T) {
 	}
 	if n := spans[0].Network(); n != 5*ms {
 		t.Fatalf("Network() = %v, want 5ms", n)
+	}
+	// A zero policy dispatches through the resilient path but leaves
+	// every fault-handling counter untouched.
+	if r := c.Resilience(); r != (Resilience{}) {
+		t.Fatalf("Resilience() = %+v, want all zero", r)
 	}
 }
 

@@ -142,7 +142,7 @@ func fireFault(arg any) {
 		if fa, ok := n.backend.(FaultAware); ok {
 			fa.Recover()
 		}
-		c.notifyHealth(n, ev.node, n.eng.Now(), false)
+		c.notifyHealth(n, ev.node, false)
 	case faultSlowdown:
 		if fa, ok := n.backend.(FaultAware); ok {
 			fa.SetSlowdown(ev.slowdown)
@@ -176,20 +176,16 @@ func (c *Cluster) crashNode(ni int) {
 		f := n.inflight[aid]
 		delete(n.inflight, aid)
 		n.meter.Failed(aid, now)
-		c.sendFail(n, f, now)
+		c.sendFail(n, f)
 	}
-	c.notifyHealth(n, ni, now, true)
+	c.notifyHealth(n, ni, true)
 }
 
 // sendFail bounces one attempt back to the client edge as a failure
 // reply, one reply-latency away (control messages skip link
 // serialisation). Runs on the node's engine.
-func (c *Cluster) sendFail(n *Node, f *flight, now sim.Time) {
-	if n.eng == c.Eng {
-		c.Eng.AfterFunc(c.cfg.Net.ReplyLatency, failFlight, f)
-	} else {
-		n.shard.Send(c.client, now.Add(c.cfg.Net.ReplyLatency), failFlight, f)
-	}
+func (c *Cluster) sendFail(n *Node, f *flight) {
+	c.hop(n, false, c.cfg.Net.ReplyLatency, failFlight, f)
 }
 
 // healthNote is a node-liveness notification in flight to the client
@@ -203,13 +199,8 @@ type healthNote struct {
 // notifyHealth tells the client edge about a liveness change, one
 // network lookahead later — the same bound PR 7's stop broadcast rides,
 // and the minimum credible detection delay. Runs on the node's engine.
-func (c *Cluster) notifyHealth(n *Node, ni int, now sim.Time, down bool) {
-	note := &healthNote{c: c, node: ni, down: down}
-	if n.eng == c.Eng {
-		c.Eng.AfterFunc(c.look, applyHealthNote, note)
-	} else {
-		n.shard.Send(c.client, now.Add(c.look), applyHealthNote, note)
-	}
+func (c *Cluster) notifyHealth(n *Node, ni int, down bool) {
+	c.hop(n, false, c.look, applyHealthNote, &healthNote{c: c, node: ni, down: down})
 }
 
 // applyHealthNote updates the client edge's liveness view. Runs on the
@@ -217,9 +208,6 @@ func (c *Cluster) notifyHealth(n *Node, ni int, now sim.Time, down bool) {
 func applyHealthNote(arg any) {
 	hn := arg.(*healthNote)
 	c := hn.c
-	if c.hstate == nil {
-		return
-	}
 	h := &c.hstate[hn.node]
 	if h.down == hn.down {
 		return

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -10,10 +11,10 @@ import (
 // Client-edge resilience: per-attempt deadlines, retries under a
 // token-bucket budget, hedged requests, and passive outlier ejection.
 // All state here is homed on the client engine and mutated only in its
-// event context, so a resilient run is as deterministic as a plain one.
-// When Config enables none of it (no retry policy, no fault plan, no
-// health config), none of this state exists and the cluster follows its
-// original code paths exactly.
+// event context. Every cluster dispatches through this one path; a
+// Config with no retry policy, fault plan, or health config is simply
+// the zero policy — each request is one attempt, no timer is armed, and
+// every node stays routable.
 
 // ErrNoLiveNodes is returned (and recorded as a request outcome) when
 // every node is crashed or ejected: routing fails fast instead of
@@ -71,7 +72,7 @@ type Resilience struct {
 }
 
 // rstate is one request's resilience state, preallocated per request
-// when resilience is on. Client-engine-owned.
+// at Serve. Client-engine-owned.
 type rstate struct {
 	// attempts counts dispatches so far; open counts attempts currently
 	// in flight (≤ 2: primary + hedge).
@@ -101,17 +102,17 @@ type healthState struct {
 	probation bool
 }
 
-// resilient reports whether any resilience machinery is configured.
-func (cfg Config) resilient() bool {
-	return cfg.Retry.Enabled() || cfg.Faults != nil || cfg.Health.EjectAfter > 0
+// abandons reports whether the config lets the client edge give up on
+// an attempt its node may still complete: a deadline, a hedge, or a
+// fault plan. Only then can a backend legitimately report an attempt
+// id the node no longer tracks.
+func (cfg Config) abandons() bool {
+	return cfg.Retry.Timeout > 0 || cfg.Retry.HedgeDelay > 0 || cfg.Faults != nil
 }
 
 // available reports whether node ni is routable from the client edge's
-// current view. Always true when resilience is off.
+// current view.
 func (c *Cluster) available(ni int) bool {
-	if c.hstate == nil {
-		return true
-	}
 	h := &c.hstate[ni]
 	return !h.down && !h.ejected
 }
@@ -119,7 +120,7 @@ func (c *Cluster) available(ni int) bool {
 // allAvailable reports whether every node is routable — the fast path
 // on which routers reproduce their original decisions byte for byte.
 func (c *Cluster) allAvailable() bool {
-	return c.hstate == nil || c.liveNodes == len(c.nodes)
+	return c.liveNodes == len(c.nodes)
 }
 
 // bumpEpoch advances the liveness epoch (ConsistentHash rebuilds its
@@ -149,7 +150,7 @@ func (c *Cluster) PickNode(req Request) (int, error) {
 // recordFailure feeds the ejection state machine one failed or
 // timed-out attempt on node ni. Client engine only.
 func (c *Cluster) recordFailure(ni int) {
-	if c.cfg.Health.EjectAfter <= 0 || c.hstate == nil {
+	if c.cfg.Health.EjectAfter <= 0 {
 		return
 	}
 	h := &c.hstate[ni]
@@ -185,9 +186,6 @@ func (c *Cluster) maxEjected() int {
 
 // recordSuccess clears node ni's failure history. Client engine only.
 func (c *Cluster) recordSuccess(ni int) {
-	if c.hstate == nil {
-		return
-	}
 	h := &c.hstate[ni]
 	h.consec = 0
 	h.probation = false
@@ -215,6 +213,9 @@ func (c *Cluster) dispatch(rid int, hedge bool) {
 	now := c.Eng.Now()
 	rs := &c.rs[rid]
 	ni := c.router.Pick(Request{ID: rid, Session: c.session(rid)})
+	if ni < -1 || ni >= len(c.nodes) {
+		panic(fmt.Sprintf("cluster: router %s picked node %d of %d", c.router.Name(), ni, len(c.nodes)))
+	}
 	if ni < 0 {
 		c.res.NoLiveNode++
 		if hedge {
@@ -243,11 +244,7 @@ func (c *Cluster) dispatch(rid int, hedge bool) {
 		rs.hedgeEv = c.Eng.AfterFunc(c.cfg.Retry.HedgeDelay, fireHedge, f)
 	}
 	d := n.reqLink.delay(now, c.cfg.Net.RequestLatency, c.cfg.Net.RequestBytes, c.cfg.Net.LinkBandwidth)
-	if n.eng == c.Eng {
-		c.Eng.AfterFunc(d, deliverFlight, f)
-	} else {
-		c.client.Send(n.shard, now.Add(d), deliverFlight, f)
-	}
+	c.hop(n, true, d, deliverFlight, f)
 }
 
 // closeAttempt resolves one attempt at the client edge exactly once:
@@ -293,7 +290,7 @@ func flightTimeout(arg any) {
 	now := c.Eng.Now()
 	c.res.Timeouts++
 	c.recordFailure(f.node)
-	c.cancelAtNodeLater(f, now)
+	c.cancelAtNodeLater(f)
 	c.attemptFailed(f, now, obs.OutcomeTimeout)
 }
 
@@ -359,23 +356,18 @@ func (c *Cluster) retryRNG() *sim.Rand {
 
 // cancelAttempt closes a still-open attempt whose request resolved
 // elsewhere (hedge loser) and asks its node to abandon the work.
-func (c *Cluster) cancelAttempt(f *flight, now sim.Time) {
+func (c *Cluster) cancelAttempt(f *flight) {
 	if !c.closeAttempt(f) {
 		return
 	}
 	c.res.Cancelled++
-	c.cancelAtNodeLater(f, now)
+	c.cancelAtNodeLater(f)
 }
 
 // cancelAtNodeLater sends a best-effort cancellation to the attempt's
 // node, one request-latency away. Client engine only.
-func (c *Cluster) cancelAtNodeLater(f *flight, now sim.Time) {
-	n := c.nodes[f.node]
-	if n.eng == c.Eng {
-		c.Eng.AfterFunc(c.cfg.Net.RequestLatency, cancelAtNode, f)
-	} else {
-		c.client.Send(n.shard, now.Add(c.cfg.Net.RequestLatency), cancelAtNode, f)
-	}
+func (c *Cluster) cancelAtNodeLater(f *flight) {
+	c.hop(c.nodes[f.node], true, c.cfg.Net.RequestLatency, cancelAtNode, f)
 }
 
 // cancelAtNode abandons one attempt at its node, if the backend can.
@@ -423,10 +415,14 @@ func (c *Cluster) failRequest(rid int, now sim.Time, outcome string) {
 	c.maybeFinish(now)
 }
 
-// replyResilient is replyFlight's resilient counterpart: the first
+// replyFlight is a reply's arrival back at the client edge: the first
 // reply wins the request, siblings are cancelled, late replies are
-// discarded. Client engine only.
-func (c *Cluster) replyResilient(f *flight, now sim.Time) {
+// discarded, and after the final resolution the fleet drains. Runs on
+// the client engine.
+func replyFlight(arg any) {
+	f := arg.(*flight)
+	c := f.c
+	now := c.Eng.Now()
 	if f.closed {
 		c.res.LateReplies++
 		return
@@ -454,10 +450,10 @@ func (c *Cluster) replyResilient(f *flight, now sim.Time) {
 	}
 	// Cancel any sibling attempt still in flight.
 	if g := rs.primary; g != nil {
-		c.cancelAttempt(g, now)
+		c.cancelAttempt(g)
 	}
 	if g := rs.hedge; g != nil {
-		c.cancelAttempt(g, now)
+		c.cancelAttempt(g)
 	}
 	c.src.Completed(f.rid)
 	c.maybeFinish(now)

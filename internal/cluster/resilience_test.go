@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -399,5 +400,98 @@ func TestBrownoutStretchesLatency(t *testing.T) {
 	if slow.EndToEnd.Mean <= 2*fast.EndToEnd.Mean {
 		t.Fatalf("8x brownout mean %v not clearly above nominal %v",
 			slow.EndToEnd.Mean, fast.EndToEnd.Mean)
+	}
+}
+
+// mustPanic runs fn and returns its panic message, failing the test if
+// fn returns normally.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	fn()
+	return ""
+}
+
+func TestUnknownCompletionPanicsWhenNothingAbandons(t *testing.T) {
+	// No deadline, hedge, or fault plan: the client edge never gives up
+	// on an attempt, so a completion the node does not track is a
+	// bookkeeping bug and must stop the run.
+	c, backends := stubCluster(t, Config{}, NewRoundRobin(), []sim.Duration{sim.Millisecond})
+	c.Serve(&load.Replay{}, 1)
+	if _, err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{7, 0} { // never submitted; already completed
+		msg := mustPanic(t, func() { backends[0].done(id) })
+		if want := fmt.Sprintf("cluster: node 0 completed unknown request %d", id); msg != want {
+			t.Fatalf("panic %q, want %q", msg, want)
+		}
+	}
+}
+
+func TestUnknownCompletionCountedWhereAbandonable(t *testing.T) {
+	// A crash fails the in-flight attempt back to the client, but the
+	// stub backend is not FaultAware and finishes the work anyway: its
+	// late completion is an orphan, counted rather than fatal.
+	cfg := Config{Faults: NewFaultPlan().Crash(0, sim.Millisecond)}
+	c, _ := stubCluster(t, cfg, NewRoundRobin(), []sim.Duration{10 * sim.Millisecond})
+	c.Serve(&load.Replay{}, 1)
+	if _, err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if r := c.Resilience(); r.OrphanDone != 1 || r.Failed != 1 {
+		t.Fatalf("resilience %+v, want OrphanDone=1 Failed=1", r)
+	}
+	// Deadlines and hedges can abandon attempts too, so each alone turns
+	// an unknown completion into an orphan.
+	for _, retry := range []load.RetryPolicy{{Timeout: sim.Second}, {HedgeDelay: sim.Second}} {
+		c, backends := stubCluster(t, Config{Retry: retry}, NewRoundRobin(), []sim.Duration{sim.Millisecond})
+		c.Serve(&load.Replay{}, 1)
+		if _, err := c.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		backends[0].done(0)
+		backends[0].done(7)
+		if r := c.Resilience(); r.OrphanDone != 2 {
+			t.Fatalf("%+v: OrphanDone = %d, want 2", retry, r.OrphanDone)
+		}
+	}
+}
+
+// fixedRouter always picks the same node index, valid or not.
+type fixedRouter struct{ pick int }
+
+func (r fixedRouter) Name() string             { return "fixed" }
+func (r fixedRouter) Bind(*Cluster, *sim.Rand) {}
+func (r fixedRouter) Pick(Request) int         { return r.pick }
+
+func TestDispatchRejectsOutOfRangePick(t *testing.T) {
+	// A router index past the fleet is a router bug, named in the panic;
+	// -1 is the documented no-live-node answer and fails the request.
+	c, _ := stubCluster(t, Config{}, fixedRouter{pick: 2}, []sim.Duration{sim.Millisecond, sim.Millisecond})
+	c.Serve(&load.Replay{}, 1)
+	msg := mustPanic(t, func() { _, _ = c.Run(0) })
+	if want := "cluster: router fixed picked node 2 of 2"; msg != want {
+		t.Fatalf("panic %q, want %q", msg, want)
+	}
+
+	c, _ = stubCluster(t, Config{Spans: true}, fixedRouter{pick: -1}, []sim.Duration{sim.Millisecond})
+	c.Serve(&load.Replay{}, 2)
+	if _, err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if r := c.Resilience(); r.NoLiveNode != 2 || r.Failed != 2 || c.Completed() != 0 {
+		t.Fatalf("resilience %+v completed %d, want NoLiveNode=2 Failed=2 completed=0", r, c.Completed())
+	}
+	for i, sp := range c.Spans() {
+		if sp.Outcome != obs.OutcomeNoNode {
+			t.Fatalf("request %d outcome %q, want %q", i, sp.Outcome, obs.OutcomeNoNode)
+		}
 	}
 }

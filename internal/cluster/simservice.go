@@ -247,5 +247,5 @@ func (c *Cluster) nodeFail(ni, aid int) {
 	delete(n.inflight, aid)
 	now := n.eng.Now()
 	n.meter.Failed(aid, now)
-	c.sendFail(n, f, now)
+	c.sendFail(n, f)
 }

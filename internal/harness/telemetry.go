@@ -42,8 +42,8 @@ type SpanRow struct {
 	NetworkNs int64 `json:"network_ns"`
 	QueueNs   int64 `json:"queue_ns"`
 	ServiceNs int64 `json:"service_ns"`
-	// Outcome and Attempts carry the fault layer's request resolution
-	// ("" / 0 on runs without resilience).
+	// Outcome and Attempts carry the request's resolution: "ok" / 1
+	// for a request that succeeded on its only attempt.
 	Outcome  string `json:"outcome"`
 	Attempts int    `json:"attempts"`
 }

@@ -28,16 +28,15 @@ type Span struct {
 	// Reply marks an incomplete span (the run timed out first).
 	Reply sim.Time
 	// Outcome classifies how the request resolved (the Outcome*
-	// constants). Empty means the span predates the fault layer or the
-	// run recorded plain successes only.
+	// constants). A cluster stamps one on every request when it
+	// resolves, or as abandoned when the run hits its horizon.
 	Outcome string
-	// Attempts counts dispatches the request took (0 when the cluster
-	// ran without resilience; then every request took exactly one).
+	// Attempts counts dispatches the request took: 1 when nothing was
+	// retried or hedged, 0 for a request abandoned before its first.
 	Attempts int
 }
 
-// Request outcome labels stamped into Span.Outcome by resilient
-// clusters.
+// Request outcome labels stamped into Span.Outcome by clusters.
 const (
 	// OutcomeOK marks a request that completed end to end.
 	OutcomeOK = "ok"
