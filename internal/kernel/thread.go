@@ -446,7 +446,7 @@ func (t *Thread) setClass(cl Class) {
 
 // Kill forcibly terminates a thread that is not currently executing (the
 // exit(2) path tearing down a process's remaining threads). The thread's
-// goroutine unwinds; kernel bookkeeping is released by the exit handler.
+// proc unwinds; kernel bookkeeping is released by the exit handler.
 func (t *Thread) Kill() {
 	if t.state == ThreadExited {
 		return

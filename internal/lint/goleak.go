@@ -8,12 +8,14 @@ import (
 
 // GoLeak flags host concurrency inside the deterministic core: raw go
 // statements, bare channel operations (make/send/receive/close/select/
-// range), and sync.{Mutex,RWMutex,WaitGroup,Once,Cond,Map}. All
-// concurrency in a simulation must ride the engine's event queue
-// (Engine.Spawn procs, events, virtual-time ordering) so that the
-// interleaving is a function of the seed, not of the Go scheduler. The
-// only legitimate host concurrency is the engine's own coroutine
-// handoff in internal/sim, and those few sites carry annotated
+// range), calls to iter.Pull/iter.Pull2 (each starts a coroutine
+// goroutine that no go statement shows), and
+// sync.{Mutex,RWMutex,WaitGroup,Once,Cond,Map}. All concurrency in a
+// simulation must ride the engine's event queue (Engine.Spawn procs,
+// events, virtual-time ordering) so that the interleaving is a function
+// of the seed, not of the Go scheduler. The only legitimate host
+// concurrency is the engine's own proc coroutine in internal/sim and
+// the pdes shard workers, and those few sites carry annotated
 // //lint:allow goleak(...) directives; the harness worker pool lives
 // outside the deterministic package set entirely.
 var GoLeak = &Analyzer{
@@ -91,6 +93,13 @@ func runGoLeak(pass *Pass) error {
 			}
 		case *ast.SelectorExpr:
 			obj := info.Uses[n.Sel]
+			if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "iter" &&
+				(obj.Name() == "Pull" || obj.Name() == "Pull2") {
+				pass.Reportf(n.Pos(),
+					"iter.%s in deterministic package %s: it runs the sequence on a "+
+						"coroutine goroutine; spawn simulated activities through the engine "+
+						"(Engine.Spawn)", obj.Name(), pass.PkgPath)
+			}
 			if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncTypes[obj.Name()] {
 				pass.Reportf(n.Pos(),
 					"sync.%s in deterministic package %s: the simulation is single-threaded "+

@@ -1,7 +1,10 @@
 // Firing and non-firing cases for the goleak analyzer.
 package goleak
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
 // fires: raw goroutines and bare channel plumbing.
 func fires() {
@@ -36,6 +39,17 @@ func firesSync() {
 	once.Do(func() {})
 }
 
+// firesPull: iter.Pull and iter.Pull2 start a coroutine goroutine that
+// no go statement shows, instantiated explicitly or not.
+func firesPull(seq iter.Seq[int], seq2 iter.Seq2[int, int]) {
+	next, stop := iter.Pull(seq) // want `iter.Pull`
+	defer stop()
+	next()
+	next2, stop2 := iter.Pull2[int, int](seq2) // want `iter.Pull2`
+	defer stop2()
+	next2()
+}
+
 // okEngineStyle: plain sequential code — what the deterministic core
 // is supposed to look like — produces nothing.
 func okEngineStyle(events []func()) {
@@ -44,9 +58,16 @@ func okEngineStyle(events []func()) {
 	}
 }
 
-// okAllowed: the engine's own coroutine handoff carries reasoned
-// allows like this one.
-func okAllowed() chan struct{} {
-	//lint:allow goleak(test fixture mirroring the engine's handoff channel)
+// okAllowed: the engine's own coroutine handoff carries a reasoned
+// allow like this one.
+func okAllowed(seq iter.Seq[struct{}]) func() (struct{}, bool) {
+	//lint:allow goleak(test fixture mirroring the engine's proc coroutine)
+	next, _ := iter.Pull(seq)
+	return next
+}
+
+// okAllowedChan: an allow works the same for channel plumbing.
+func okAllowedChan() chan struct{} {
+	//lint:allow goleak(test fixture for a reasoned channel allow)
 	return make(chan struct{})
 }

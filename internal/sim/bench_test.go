@@ -1,7 +1,8 @@
 // Engine microbenchmarks isolating the discrete-event hot paths the
 // end-to-end figure benchmarks sit on: timer churn (schedule + fire),
-// cancel-heavy timer traffic (futex timeouts, slice renewals), and the
-// proc park/resume ping-pong behind every simulated context switch.
+// cancel-heavy timer traffic (futex timeouts, slice renewals), the
+// proc park/resume ping-pong behind every simulated context switch, and
+// the proc lifecycle (spawn to exit) behind every simulated thread.
 // All report allocations: the pooled closure-free paths are expected to
 // allocate nothing in steady state.
 package sim
@@ -114,6 +115,27 @@ func BenchmarkParkResumePingPong(b *testing.B) {
 	_, _ = e.RunAll()
 	b.StopTimer()
 	e.KillAll()
+}
+
+// BenchmarkSpawnExit measures a proc's whole lifecycle: spawn, ready,
+// and run to exit, one proc per op. It tracks the per-spawn cost of the
+// proc coroutine (its goroutine, closures, and Proc record).
+func BenchmarkSpawnExit(b *testing.B) {
+	e := NewEngine(1)
+	ran := 0
+	body := func(*Proc) { ran++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		e.Ready(e.Spawn("p", body))
+		if _, err := e.RunAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if ran != b.N {
+		b.Fatalf("ran %d of %d procs", ran, b.N)
+	}
 }
 
 // benchDenseFleetTimers models the fleet-scale inner loop the timing

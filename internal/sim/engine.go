@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Engine is the discrete-event simulation driver. It owns the virtual clock
-// and the event queue, and it schedules procs (coroutine-style goroutines)
+// and the event queue, and it schedules procs (coroutines, see Spawn)
 // one at a time: at any instant exactly one proc — or the engine itself —
 // is executing, so simulations are race-free and deterministic without
 // locks.
@@ -50,7 +50,6 @@ type Engine struct {
 	immHead int
 
 	cur     *Proc
-	back    chan struct{} // procs hand control back to the driver here
 	nextPID int
 	live    int // procs spawned and not yet exited
 	procs   []*Proc
@@ -67,9 +66,7 @@ type Engine struct {
 // NewEngine returns an engine whose RNG streams derive from seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng: NewRand(seed),
-		//lint:allow goleak(unbuffered back channel is the engine half of the proc coroutine handoff; see Proc.Spawn)
-		back:      make(chan struct{}),
+		rng:       NewRand(seed),
 		wheelGate: wheelMinHeap,
 	}
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -299,6 +302,84 @@ func TestKillBeforeFirstRun(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("killed proc ran its body")
+	}
+}
+
+// TestProcPanicSurfacesFromRunAll: a panic inside a proc body reaches
+// the RunAll caller as an error naming the proc and carrying the proc's
+// own stack, and leaves no proc current.
+func TestProcPanicSurfacesFromRunAll(t *testing.T) {
+	e := NewEngine(1)
+	p := e.Spawn("bomb", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	e.Ready(p)
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		e.RunAll()
+		return nil
+	}()
+	err, ok := r.(error)
+	if !ok {
+		t.Fatalf("RunAll did not panic with an error: %v", r)
+	}
+	if want := "sim: panic in proc 1 (bomb): boom\n"; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("panic = %q, want prefix %q", err, want)
+	}
+	if !strings.Contains(err.Error(), "TestProcPanicSurfacesFromRunAll.func") {
+		t.Fatalf("panic report lacks the proc's stack:\n%v", err)
+	}
+	if e.Current() != nil {
+		t.Fatalf("Current() = %v after proc panic, want nil", e.Current())
+	}
+	if p.State() != ProcExited || e.Live() != 0 {
+		t.Fatalf("state %v live %d after proc panic", p.State(), e.Live())
+	}
+}
+
+// TestKillAllReleasesGoroutines: after a horizon stop, KillAll unwinds
+// every live proc — parked, sleeping, or never started — and each
+// proc's host goroutine exits.
+func TestKillAllReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	unwound := 0
+	for i := 0; i < 8; i++ {
+		i := i
+		p := e.Spawn("p", func(p *Proc) {
+			defer func() { unwound++ }()
+			if i%2 == 0 {
+				p.Park()
+			}
+			p.Sleep(Second)
+		})
+		if i < 6 {
+			e.Ready(p)
+		}
+	}
+	if _, hit, err := e.RunHorizon(Millisecond); err != nil || !hit {
+		t.Fatalf("hit %v err %v", hit, err)
+	}
+	if e.Live() != 8 || runtime.NumGoroutine() < base+8 {
+		t.Fatalf("live %d goroutines %d (base %d) before KillAll", e.Live(), runtime.NumGoroutine(), base)
+	}
+	e.KillAll()
+	if e.Live() != 0 || unwound != 6 {
+		t.Fatalf("live %d unwound %d after KillAll, want 0 and 6", e.Live(), unwound)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines waits (bounded) for the host goroutine count to fall
+// back to base: exiting goroutines are reaped asynchronously.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -29,9 +29,14 @@
 //
 // The host goroutines and channels below are the second sanctioned use
 // of host concurrency in the deterministic core (after the engine's
-// coroutine handoff): one worker per shard, commanded over unbuffered
-// channels, with a full barrier between windows — so the Go scheduler
-// chooses only *when* windows run, never their contents or order.
+// proc coroutines, see sim.Engine.Spawn): one worker per shard,
+// commanded over unbuffered channels, with a full barrier between
+// windows — so the Go scheduler chooses only *when* windows run, never
+// their contents or order. A shard's window runs on its worker in one
+// window and inline on the coordinator in another, so its procs are
+// resumed from different goroutines over a run; the barrier orders
+// those resumes, and a proc's coroutine may be resumed by any goroutine
+// as long as no two resume it at once.
 package pdes
 
 import (

@@ -3,8 +3,10 @@ package pdes
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -82,6 +84,137 @@ func TestShardPanicReachesCoordinator(t *testing.T) {
 		}
 	}()
 	g.Run(sim.Forever)
+}
+
+// TestProcPanicReachesCoordinator: a panic inside a proc body on a
+// shard surfaces from Group.Run as the engine's proc-panic error, on
+// both the worker fan-out path and the single-active-shard inline path,
+// and leaves no proc current on that shard.
+func TestProcPanicReachesCoordinator(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fanOut bool
+	}{{"fan-out", true}, {"inline", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, s := newGroup(3)
+			eng := s[2].Engine()
+			eng.Ready(eng.Spawn("bomb", func(p *sim.Proc) {
+				p.Sleep(sim.Millisecond)
+				panic("boom")
+			}))
+			if tc.fanOut {
+				s[0].Engine().After(sim.Millisecond, func() {})
+			}
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				g.Run(sim.Forever)
+				return nil
+			}()
+			if want := "sim: panic in proc 1 (bomb): boom\n"; !strings.HasPrefix(fmt.Sprint(r), want) {
+				t.Fatalf("panic = %q, want prefix %q", fmt.Sprint(r), want)
+			}
+			if eng.Current() != nil {
+				t.Fatalf("Current() = %v after proc panic, want nil", eng.Current())
+			}
+		})
+	}
+}
+
+// goid returns the calling goroutine's id from its stack header
+// ("goroutine N [running]:").
+func goid() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// parkAcrossWindows runs two procs and an echo server as three entities
+// spread over the group's shards. The parker on shard 0 alternates
+// between sleeping past the window edge and parking on a ping whose
+// echo readies it by cross-shard message; the ticker sleeps on a 30 ms
+// grid that shares some of the parker's windows and not others. So
+// across windows the parker is resumed both by its shard's worker (when
+// another shard is active too) and inline on the coordinator (when it
+// is alone). The group runs to until; runners collects the goroutines
+// that resumed the parker.
+func parkAcrossWindows(t *testing.T, shards int, until sim.Time, runners map[string]bool) (*Group, []string) {
+	t.Helper()
+	g, s := newGroup(shards)
+	a, b, c := s[0], s[1%shards], s[2%shards]
+	var logA, logB, logC []string
+	var parker *sim.Proc
+	wake := func(any) { a.Engine().Ready(parker) }
+	echo := func(arg any) {
+		logC = append(logC, fmt.Sprintf("%v echo %v", c.Now(), arg))
+		c.Engine().After(2*sim.Millisecond, func() { c.Send(a, c.Now().Add(look), wake, nil) })
+	}
+	parker = a.Engine().Spawn("parker", func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			logA = append(logA, fmt.Sprintf("%v step %d", a.Now(), i))
+			// Fires after the park, in the window that resumed us.
+			a.Engine().At(a.Now(), func() { runners[goid()] = true })
+			if i%2 == 0 {
+				p.Sleep(3 * look)
+			} else {
+				a.Send(c, a.Now().Add(look), echo, i)
+				p.Park()
+			}
+		}
+	})
+	a.Engine().Ready(parker)
+	b.Engine().Ready(b.Engine().Spawn("ticker", func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			logB = append(logB, fmt.Sprintf("%v tick %d", b.Now(), i))
+			p.Sleep(3 * look)
+		}
+	}))
+	if _, err := g.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	return g, append(append(logA, logB...), logC...)
+}
+
+func TestProcResumedAcrossGoroutines(t *testing.T) {
+	var ref []string
+	for _, n := range []int{1, 2, 3} {
+		runners := map[string]bool{}
+		g, log := parkAcrossWindows(t, n, sim.Forever, runners)
+		if g.Live() != 0 {
+			t.Fatalf("%d shards: live = %d after a full run", n, g.Live())
+		}
+		if n == 1 {
+			ref = log
+			continue
+		}
+		if !reflect.DeepEqual(log, ref) {
+			t.Fatalf("%d shards diverged:\n%v\nwant\n%v", n, log, ref)
+		}
+		// The worker and the coordinator both resumed the parker.
+		if len(runners) < 2 {
+			t.Fatalf("%d shards: parker resumed by %d goroutine(s), want worker and coordinator", n, len(runners))
+		}
+	}
+}
+
+// TestKillAllAfterHorizonReleasesGoroutines: a horizon stop leaves procs
+// parked on several shards; KillAll unwinds them all, and every proc
+// coroutine and shard worker goroutine exits.
+func TestKillAllAfterHorizonReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g, _ := parkAcrossWindows(t, 3, sim.Time(0).Add(100*sim.Millisecond), map[string]bool{})
+	if g.Live() != 2 {
+		t.Fatalf("live = %d at the horizon, want both procs parked", g.Live())
+	}
+	g.KillAll()
+	if g.Live() != 0 {
+		t.Fatalf("live = %d after KillAll", g.Live())
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestDeadlockAcrossShards(t *testing.T) {

@@ -1,7 +1,15 @@
+//go:build go1.23
+
+// The build line above lifts only this file's language version to 1.23,
+// so vet's stdversion check accepts iter.Pull while go.mod stays at
+// go 1.21: scenariobench/go.mod replaces this module at that directive,
+// and raising ours would make its build demand a go.mod update.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -30,7 +38,7 @@ func (s ProcState) String() string {
 	return "unknown"
 }
 
-// Proc is a simulated activity: a goroutine that runs only when the engine
+// Proc is a simulated activity: a coroutine that runs only when the engine
 // hands it control, and that returns control by parking or exiting. All
 // simulated threads, interrupt handlers with complex logic, and workload
 // drivers are procs.
@@ -43,8 +51,11 @@ type Proc struct {
 	// engine itself never touches it.
 	Data any
 
-	eng     *Engine
-	resume  chan struct{}
+	eng *Engine
+	// next resumes the body until it parks or exits; yield, called
+	// from inside the body, hands control back to next's caller.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
 	state   ProcState
 	pending bool // a resume event is queued
 	killed  bool
@@ -61,30 +72,24 @@ func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.ID, p.Name
 // Spawn creates a proc running fn. The proc does not start until Ready is
 // called (typically immediately by the caller, or by a scheduler model when
 // it dispatches the underlying thread).
+//
+// The body runs as an iter.Pull coroutine: dispatch calls next and Park
+// calls yield, and each is a direct runtime goroutine switch that skips
+// the Go scheduler. This is the ONE sanctioned use of host concurrency
+// in the deterministic core. Control strictly alternates — exactly one
+// of the engine and its procs ever runs — so the Go runtime makes no
+// ordering choices that could leak into simulation output. Everything
+// above this layer must use engine events; goleak enforces that.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
-	p := &Proc{
-		ID:   e.nextPID,
-		Name: name,
-		eng:  e,
-		//lint:allow goleak(unbuffered resume channel is the proc half of the engine's strict coroutine handoff)
-		resume: make(chan struct{}),
-		state:  ProcCreated,
-	}
+	p := &Proc{ID: e.nextPID, Name: name, eng: e, state: ProcCreated}
 	e.procs = append(e.procs, p)
 	e.live++
-	// This goroutine and the channel operations below are the engine's
-	// coroutine-handoff machinery — the ONE sanctioned use of host
-	// concurrency in the deterministic core. The unbuffered
-	// resume/back pair enforces strict alternation: exactly one
-	// goroutine (the engine or one proc) is ever runnable, so the Go
-	// scheduler has no choices to make and no ordering can leak into
-	// simulation output. Everything above this layer must use engine
-	// events; goleak enforces that.
-	//lint:allow goleak(coroutine handoff: proc goroutines run strictly one-at-a-time under engine control)
-	go func() {
-		//lint:allow goleak(coroutine handoff receive; see Spawn comment)
-		<-p.resume
+	// stop is never needed: a proc leaves its coroutine by returning,
+	// and Kill makes a parked proc return by unwinding from Park.
+	//lint:allow goleak(proc coroutine: runs only inside dispatch's next call, strictly alternating with the engine)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, isKill := r.(killSentinel); !isKill {
@@ -94,14 +99,12 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			p.state = ProcExited
 			e.live--
 			e.cur = nil
-			//lint:allow goleak(coroutine handoff send; see Spawn comment)
-			e.back <- struct{}{}
 		}()
 		if p.killed {
 			return
 		}
 		fn(p)
-	}()
+	})
 	return p
 }
 
@@ -147,10 +150,7 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	e.cur = p
 	p.state = ProcRunning
-	//lint:allow goleak(coroutine handoff send; see Spawn comment)
-	p.resume <- struct{}{}
-	//lint:allow goleak(coroutine handoff receive; see Spawn comment)
-	<-e.back
+	p.next()
 }
 
 // Park suspends the calling proc until Ready is invoked on it. It must be
@@ -162,10 +162,7 @@ func (p *Proc) Park() {
 	}
 	p.state = ProcParked
 	e.cur = nil
-	//lint:allow goleak(coroutine handoff send; see Spawn comment)
-	e.back <- struct{}{}
-	//lint:allow goleak(coroutine handoff receive; see Spawn comment)
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{})
 	}

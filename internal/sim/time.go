@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// Simulated activities ("procs") are goroutines driven one at a time by the
+// Simulated activities ("procs") are coroutines driven one at a time by the
 // engine, so every run is fully deterministic: exactly one proc executes at
 // any moment, and all ordering is derived from the virtual clock plus a
 // monotonically increasing sequence number used as a tie-breaker.
