@@ -29,11 +29,18 @@
 //
 // The host goroutines and channels below are the second sanctioned use
 // of host concurrency in the deterministic core (after the engine's
-// proc coroutines, see sim.Engine.Spawn): one worker per shard,
-// commanded over unbuffered channels, with a full barrier between
-// windows — so the Go scheduler chooses only *when* windows run, never
-// their contents or order. A shard's window runs on its worker in one
-// window and inline on the coordinator in another, so its procs are
+// proc coroutines, see sim.Engine.Spawn). A group of N shards starts
+// N−1 workers, one per shard but the last, commanded over unbuffered
+// channels with a full barrier between windows — so the Go scheduler
+// chooses only *when* windows run, never their contents or order. In
+// each window the coordinator commands the workers of every active
+// shard except the highest-id one, runs that one itself, and then
+// collects the workers' results; a window with one active shard is the
+// same path with no worker commanded, and the coordinator does a
+// shard's work instead of only waiting at the barrier. The handoff
+// stays blocking: spin-then-park barriers were measured slower on an
+// oversubscribed 2-core host. A shard's window runs on its worker in
+// one window and on the coordinator in another, so its procs are
 // resumed from different goroutines over a run; the barrier orders
 // those resumes, and a proc's coroutine may be resumed by any goroutine
 // as long as no two resume it at once.
@@ -147,13 +154,20 @@ func (s *Shard) Send(dst *Shard, at sim.Time, fn func(any), arg any) {
 	s.outbox = append(s.outbox, m)
 }
 
+// shardNext is one shard's next queued event time, read once per window.
+type shardNext struct {
+	s  *Shard
+	at sim.Time
+}
+
 // Group is a set of engine shards advancing in conservative lockstep
 // windows.
 type Group struct {
 	shards    []*Shard
 	lookahead sim.Duration
-	merged    msgSlice // barrier scratch, reused across windows
-	active    []*Shard // window scratch: shards with work this window
+	merged    msgSlice    // barrier scratch, reused across windows
+	pending   []shardNext // window scratch: shards with queued events
+	active    []*Shard    // window scratch: shards with work this window
 	running   bool
 
 	// windows and widthSum profile the coordinator: how many lockstep
@@ -220,20 +234,24 @@ func (g *Group) KillAll() {
 	}
 }
 
+// runWindow runs the shard's engine up to end, recovering an engine
+// panic (including a proc panic) into the result so the coordinator can
+// re-raise it after the full barrier.
+func (s *Shard) runWindow(end sim.Time) (wr windowResult) {
+	defer func() { wr.panicked = recover() }()
+	_, wr.err = s.eng.RunWindow(end)
+	return wr
+}
+
 // worker is one shard's window executor: it runs windows on command
-// until its cmd channel closes. Engine panics (including proc panics)
-// are recovered and shipped to the coordinator, which re-raises them.
-// The channels arrive as arguments so the goroutine never touches the
-// Shard's channel fields, which the coordinator clears after close.
+// until its cmd channel closes. The channels arrive as arguments so the
+// goroutine never touches the Shard's channel fields, which the
+// coordinator clears after close.
 func (s *Shard) worker(cmd <-chan sim.Time, res chan<- windowResult) {
 	//lint:allow goleak(shard worker receive: pdes barrier protocol — the coordinator commands one window at a time and blocks on res, so exactly the commanded shards run between barriers)
 	for end := range cmd {
-		var wr windowResult
-		func() {
-			defer func() { wr.panicked = recover() }()
-			_, wr.err = s.eng.RunWindow(end)
-		}()
-		//lint:allow goleak(shard worker send: barrier result hand-back; the coordinator is always blocked on this receive)
+		wr := s.runWindow(end)
+		//lint:allow goleak(shard worker send: barrier result hand-back; the coordinator always receives it before the next window)
 		res <- wr
 	}
 }
@@ -251,37 +269,42 @@ func (g *Group) Run(until sim.Time) (sim.Time, error) {
 	g.running = true
 	defer func() { g.running = false }()
 
-	parallel := len(g.shards) > 1
-	if parallel {
-		for _, s := range g.shards {
-			//lint:allow goleak(unbuffered cmd channel is the coordinator half of the pdes barrier protocol; see package comment)
-			s.cmd = make(chan sim.Time)
-			//lint:allow goleak(unbuffered res channel is the worker half of the pdes barrier protocol; see package comment)
-			s.res = make(chan windowResult)
-			//lint:allow goleak(one worker goroutine per shard, commanded one window at a time with a full barrier between windows — shut down via close(cmd) before Run returns)
-			go s.worker(s.cmd, s.res)
-		}
-		defer func() {
-			for _, s := range g.shards {
-				//lint:allow goleak(worker shutdown: closing cmd ends the worker's range loop)
-				close(s.cmd)
-				s.cmd, s.res = nil, nil
-			}
-		}()
+	// The highest-id shard always runs on the coordinator when it is
+	// active (see window), so only the others need workers.
+	workers := g.shards[:len(g.shards)-1]
+	for _, s := range workers {
+		//lint:allow goleak(unbuffered cmd channel is the coordinator half of the pdes barrier protocol; see package comment)
+		s.cmd = make(chan sim.Time)
+		//lint:allow goleak(unbuffered res channel is the worker half of the pdes barrier protocol; see package comment)
+		s.res = make(chan windowResult)
+		//lint:allow goleak(one worker goroutine per shard but the last, commanded one window at a time with a full barrier between windows — shut down via close(cmd) before Run returns)
+		go s.worker(s.cmd, s.res)
 	}
+	defer func() {
+		for _, s := range workers {
+			//lint:allow goleak(worker shutdown: closing cmd ends the worker's range loop)
+			close(s.cmd)
+			s.cmd, s.res = nil, nil
+		}
+	}()
 
 	for {
-		// The safe bound: no shard can produce an effect on another
-		// before minNext + lookahead, so every event strictly below that
-		// is independent across shards.
+		// One scan finds the safe bound and each shard's next event: no
+		// shard can produce an effect on another before minNext +
+		// lookahead, so every event strictly below that is independent
+		// across shards.
+		pending := g.pending[:0]
 		var minNext sim.Time
-		any := false
 		for _, s := range g.shards {
-			if t, ok := s.eng.NextEventTime(); ok && (!any || t < minNext) {
-				minNext, any = t, true
+			if t, ok := s.eng.NextEventTime(); ok {
+				if len(pending) == 0 || t < minNext {
+					minNext = t
+				}
+				pending = append(pending, shardNext{s, t})
 			}
 		}
-		if !any {
+		g.pending = pending
+		if len(pending) == 0 {
 			break
 		}
 		if minNext > until {
@@ -301,7 +324,7 @@ func (g *Group) Run(until sim.Time) (sim.Time, error) {
 		g.windows++
 		g.widthSum += end.Sub(minNext) + 1
 
-		if err := g.window(end, parallel); err != nil {
+		if err := g.window(end); err != nil {
 			return g.Now(), err
 		}
 		g.exchange()
@@ -316,33 +339,33 @@ func (g *Group) Run(until sim.Time) (sim.Time, error) {
 
 // window runs every shard with work to end. Shards whose next event
 // lies beyond the window are skipped entirely — their clocks catch up
-// lazily — so a fleet with one hot shard pays no barrier fan-out.
-func (g *Group) window(end sim.Time, parallel bool) error {
-	if !parallel {
-		_, err := g.shards[0].eng.RunWindow(end)
-		return err
-	}
+// lazily — so a fleet with one hot shard pays no barrier fan-out. The
+// coordinator commands the workers of the active shards but the last
+// and runs that one itself, so a window with one active shard is the
+// same path with no worker commanded. Results are taken in shard order:
+// the lowest-id shard's panic or error wins.
+func (g *Group) window(end sim.Time) error {
 	active := g.active[:0]
-	for _, s := range g.shards {
-		if t, ok := s.eng.NextEventTime(); ok && t <= end {
-			active = append(active, s)
+	for _, p := range g.pending {
+		if p.at <= end {
+			active = append(active, p.s)
 		}
 	}
 	g.active = active
-	if len(active) == 1 {
-		// One busy shard: run it inline, skip the channel round-trip.
-		_, err := active[0].eng.RunWindow(end)
-		return err
-	}
-	for _, s := range active {
+	last := len(active) - 1 // minNext <= end, so at least one is active
+	for _, s := range active[:last] {
 		//lint:allow goleak(barrier fan-out send: commands the shard's worker to run one window)
 		s.cmd <- end
 	}
+	inline := active[last].runWindow(end)
 	var firstErr error
 	var panicked any
-	for _, s := range active {
-		//lint:allow goleak(barrier fan-in receive: collects the shard's window result; every commanded worker sends exactly one)
-		wr := <-s.res
+	for i, s := range active {
+		wr := inline
+		if i < last {
+			//lint:allow goleak(barrier fan-in receive: collects the shard's window result; every commanded worker sends exactly one)
+			wr = <-s.res
+		}
 		if wr.panicked != nil && panicked == nil {
 			panicked = wr.panicked
 		}

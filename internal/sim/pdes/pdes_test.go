@@ -74,8 +74,9 @@ func TestLookaheadViolationPanics(t *testing.T) {
 func TestShardPanicReachesCoordinator(t *testing.T) {
 	g, s := newGroup(3)
 	s[2].Engine().After(sim.Millisecond, func() { panic("boom on shard 2") })
-	// Give the other shards work in the same window so the parallel
-	// fan-out path (not the single-active-shard inline path) runs.
+	// Give the other shards work in the same window so their workers
+	// run alongside; shard 2, the highest-id active shard, runs inline
+	// on the coordinator either way.
 	s[0].Engine().After(sim.Millisecond, func() {})
 	s[1].Engine().After(sim.Millisecond, func() {})
 	defer func() {
@@ -86,10 +87,59 @@ func TestShardPanicReachesCoordinator(t *testing.T) {
 	g.Run(sim.Forever)
 }
 
+// TestWorkerShardPanicReachesCoordinator: a panic on a shard that runs
+// on its worker (shard 0, while the last shard is active in the same
+// window) is re-raised on the coordinator.
+func TestWorkerShardPanicReachesCoordinator(t *testing.T) {
+	g, s := newGroup(3)
+	coord := goid()
+	var ran string
+	s[0].Engine().After(sim.Millisecond, func() {
+		ran = goid()
+		panic("boom on shard 0")
+	})
+	s[2].Engine().After(sim.Millisecond, func() {})
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		g.Run(sim.Forever)
+		return nil
+	}()
+	if !strings.Contains(fmt.Sprint(r), "boom on shard 0") {
+		t.Fatalf("worker shard panic not propagated: %v", r)
+	}
+	if ran == "" || ran == coord {
+		t.Fatalf("shard 0 ran on goroutine %q, want a worker (coordinator is %s)", ran, coord)
+	}
+}
+
+// TestLowestShardPanicWins: when a worker-run shard and the inline shard
+// both panic in one window, Run re-raises the lowest-id shard's panic.
+func TestLowestShardPanicWins(t *testing.T) {
+	for _, tc := range []struct{ shards, worker, inline int }{
+		{2, 0, 1}, {3, 0, 2}, {3, 1, 2},
+	} {
+		g, s := newGroup(tc.shards)
+		for _, id := range []int{tc.worker, tc.inline} {
+			msg := fmt.Sprintf("boom on shard %d", id)
+			s[id].Engine().After(sim.Millisecond, func() { panic(msg) })
+		}
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			g.Run(sim.Forever)
+			return nil
+		}()
+		if want := fmt.Sprintf("boom on shard %d", tc.worker); fmt.Sprint(r) != want {
+			t.Fatalf("%d shards: panic %v, want %q", tc.shards, r, want)
+		}
+	}
+}
+
 // TestProcPanicReachesCoordinator: a panic inside a proc body on a
-// shard surfaces from Group.Run as the engine's proc-panic error, on
-// both the worker fan-out path and the single-active-shard inline path,
-// and leaves no proc current on that shard.
+// shard surfaces from Group.Run as the engine's proc-panic error, and
+// leaves no proc current on that shard. The proc's shard 2 is the
+// highest-id active shard, so it runs inline on the coordinator both
+// when shard 0's worker runs the same window ("fan-out") and when it is
+// the only active shard ("inline").
 func TestProcPanicReachesCoordinator(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -117,6 +167,60 @@ func TestProcPanicReachesCoordinator(t *testing.T) {
 				t.Fatalf("Current() = %v after proc panic, want nil", eng.Current())
 			}
 		})
+	}
+}
+
+// waitGoroutines waits until runtime.NumGoroutine() is back to at most
+// base, failing the test after a few seconds.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunStartsOneWorkerPerShardButLast: a group of n shards runs with
+// n−1 worker goroutines — in a window where every shard is active, shards
+// 0..n−2 run on distinct workers and the last on the coordinator — and
+// Run releases them before it returns.
+func TestRunStartsOneWorkerPerShardButLast(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		g, s := newGroup(n)
+		coord := goid()
+		ran := make([]string, n)
+		during := 0
+		for i, sh := range s {
+			i := i
+			sh.Engine().After(sim.Millisecond, func() {
+				ran[i] = goid()
+				if i == n-1 {
+					during = runtime.NumGoroutine()
+				}
+			})
+		}
+		base := runtime.NumGoroutine()
+		if _, err := g.Run(sim.Forever); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{coord: true}
+		for i, id := range ran[:n-1] {
+			if seen[id] {
+				t.Fatalf("%d shards: shard %d ran on goroutine %s, want its own worker (runners %v, coordinator %s)", n, i, id, ran, coord)
+			}
+			seen[id] = true
+		}
+		if ran[n-1] != coord {
+			t.Fatalf("%d shards: last shard ran on goroutine %s, want the coordinator %s", n, ran[n-1], coord)
+		}
+		// Goroutines left by earlier tests can only exit meanwhile, so
+		// more than n−1 new ones means Run started a spare worker.
+		if during-base > n-1 {
+			t.Fatalf("%d shards: %d goroutines during Run, want %d", n, during-base, n-1)
+		}
+		waitGoroutines(t, base)
 	}
 }
 
@@ -209,12 +313,7 @@ func TestKillAllAfterHorizonReleasesGoroutines(t *testing.T) {
 	if g.Live() != 0 {
 		t.Fatalf("live = %d after KillAll", g.Live())
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitGoroutines(t, base)
 }
 
 func TestDeadlockAcrossShards(t *testing.T) {
