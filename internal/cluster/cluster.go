@@ -374,7 +374,7 @@ func (c *Cluster) AddNode(name string, sys *stack.System, newBackend func(done f
 	if sys != nil && sys.Eng != n.eng {
 		// A node system built on the wrong engine would run on a foreign
 		// shard's timeline — events would fire under another shard's
-		// clock and race its worker.
+		// clock, outside the window bounds that order them.
 		panic("cluster: node " + name + " system not built on NodeEngine(" + fmt.Sprint(ni) + ")")
 	}
 	c.nodes = append(c.nodes, n)

@@ -168,7 +168,7 @@ func (c *Cluster) crashNode(ni int) {
 	// failure replies are issued — and therefore delivered — in the
 	// same deterministic order for any shard count.
 	aids := make([]int, 0, len(n.inflight))
-	for aid := range n.inflight { //lint:allow maprange(keys sorted below before any effect escapes)
+	for aid := range n.inflight {
 		aids = append(aids, aid)
 	}
 	sort.Ints(aids)

@@ -201,7 +201,7 @@ func (s *SimService) cancelAllTimers() {
 		return
 	}
 	ids := make([]int, 0, len(s.timers))
-	for id := range s.timers { //lint:allow maprange(keys sorted below before any effect escapes)
+	for id := range s.timers {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)

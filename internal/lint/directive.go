@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -22,10 +23,12 @@ import (
 // reader (and the next refactor) can judge it. Malformed directives —
 // unknown analyzer, missing or empty reason, trailing junk — are
 // reported as errors rather than silently honoured, so a typo can
-// never quietly disable a rule.
+// never quietly disable a rule. So is a stale allow, one that
+// suppresses no finding: once the code it excused is gone, the claim
+// describes nothing and would silently excuse whatever lands there next.
 
-// directiveName is the pseudo-analyzer under which malformed-directive
-// errors are reported. It is not suppressible.
+// directiveName is the pseudo-analyzer under which malformed- and
+// stale-directive errors are reported. It is not suppressible.
 const directiveName = "lintdirective"
 
 // allowKey identifies one suppressed (file line, analyzer) site.
@@ -35,18 +38,45 @@ type allowKey struct {
 	analyzer string
 }
 
+// allow is one well-formed //lint:allow directive.
+type allow struct {
+	pos      token.Position
+	analyzer string
+	used     bool // it suppressed at least one finding
+}
+
 // allowIndex records which analyzer findings are suppressed at which
 // lines of a package.
 type allowIndex struct {
-	allowed map[allowKey]bool
+	allowed map[allowKey][]*allow
+	all     []*allow // in source order
 }
 
-// suppresses reports whether d is covered by an allow directive.
+// suppresses reports whether d is covered by an allow directive, and
+// marks the covering directives used.
 func (ix *allowIndex) suppresses(d Diagnostic) bool {
 	if d.Analyzer == directiveName {
 		return false
 	}
-	return ix.allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]
+	as := ix.allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]
+	for _, a := range as {
+		a.used = true
+	}
+	return len(as) > 0
+}
+
+// reportStale reports every allow for one of the analyzers that ran
+// which suppressed nothing. Allows for analyzers that did not run are
+// left alone: there is no evidence either way.
+func (ix *allowIndex) reportStale(ran []*Analyzer, report func(Diagnostic)) {
+	for _, a := range ix.all {
+		if a.used || !slices.ContainsFunc(ran, func(x *Analyzer) bool { return x.Name == a.analyzer }) {
+			continue
+		}
+		report(Diagnostic{Analyzer: directiveName, Pos: a.pos,
+			Message: "stale //lint:allow " + a.analyzer + ": no " + a.analyzer +
+				" finding on this line or the next to suppress; delete the directive"})
+	}
 }
 
 // buildAllowIndex scans the files' comments for //lint: directives,
@@ -54,7 +84,7 @@ func (ix *allowIndex) suppresses(d Diagnostic) bool {
 // own line and the line directly below (so both trailing and
 // line-above placement work).
 func buildAllowIndex(fset *token.FileSet, files []*ast.File, report func(Diagnostic)) *allowIndex {
-	ix := &allowIndex{allowed: make(map[allowKey]bool)}
+	ix := &allowIndex{allowed: make(map[allowKey][]*allow)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -68,8 +98,11 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File, report func(Diagnos
 					report(Diagnostic{Analyzer: directiveName, Pos: pos, Message: errmsg})
 					continue
 				}
+				a := &allow{pos: pos, analyzer: name}
+				ix.all = append(ix.all, a)
 				for _, line := range []int{pos.Line, pos.Line + 1} {
-					ix.allowed[allowKey{pos.Filename, line, name}] = true
+					k := allowKey{pos.Filename, line, name}
+					ix.allowed[k] = append(ix.allowed[k], a)
 				}
 			}
 		}

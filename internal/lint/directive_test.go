@@ -54,6 +54,13 @@ func TestParseAllow(t *testing.T) {
 // import anything, so no importer is needed.
 func checkSource(t *testing.T, src string) []Diagnostic {
 	t.Helper()
+	return CheckPackage(sourcePackage(t, src), Analyzers())
+}
+
+// sourcePackage type-checks one in-memory file under a deterministic
+// path.
+func sourcePackage(t *testing.T, src string) *Package {
+	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
@@ -69,8 +76,7 @@ func checkSource(t *testing.T, src string) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg := &Package{Path: detPath, Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
-	return CheckPackage(pkg, Analyzers())
+	return &Package{Path: detPath, Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
 }
 
 // TestMalformedDirectiveDoesNotSuppress is the contract the satellite
@@ -108,7 +114,8 @@ func f() int {
 }
 
 // TestWellFormedDirectiveSuppressesOnlyItsAnalyzer: an allow names one
-// analyzer; findings from other analyzers on the same line survive.
+// analyzer; findings from other analyzers on the same line survive, and
+// the misdirected allow is reported stale.
 func TestWellFormedDirectiveSuppressesOnlyItsAnalyzer(t *testing.T) {
 	diags := checkSource(t, `package p
 
@@ -119,10 +126,14 @@ func f() {
 	go func() { close(ch) }()
 }
 `)
-	var goleakAt5, goleakAt7 bool
+	var goleakAt5, goleakAt7, staleAt6 bool
 	for _, d := range diags {
 		if d.Analyzer == directiveName {
-			t.Errorf("unexpected directive error: %s", d)
+			if d.Pos.Line == 6 && strings.Contains(d.Message, "stale //lint:allow maprange") {
+				staleAt6 = true
+			} else {
+				t.Errorf("unexpected directive error: %s", d)
+			}
 		}
 		if d.Analyzer == "goleak" && d.Pos.Line == 5 {
 			goleakAt5 = true
@@ -136,6 +147,30 @@ func f() {
 	}
 	if !goleakAt7 {
 		t.Error("allow maprange suppressed a goleak finding; directives must be analyzer-specific")
+	}
+	if !staleAt6 {
+		t.Errorf("allow maprange with no maprange finding not reported stale; got %v", diags)
+	}
+}
+
+// TestStaleDirectiveNeedsItsAnalyzer: an allow is judged stale only by
+// a run of its own analyzer; a run without it has no evidence either
+// way.
+func TestStaleDirectiveNeedsItsAnalyzer(t *testing.T) {
+	const src = `package p
+
+func f() []int {
+	//lint:allow maprange(nothing here ranges over a map)
+	return nil
+}
+`
+	diags := checkSource(t, src)
+	if len(diags) != 1 || diags[0].Analyzer != directiveName || diags[0].Pos.Line != 4 ||
+		!strings.Contains(diags[0].Message, "stale") {
+		t.Errorf("full suite: got %v, want one stale directive error on line 4", diags)
+	}
+	if diags := CheckPackage(sourcePackage(t, src), []*Analyzer{GoLeak}); len(diags) != 0 {
+		t.Errorf("goleak-only run judged a maprange allow: %v", diags)
 	}
 }
 

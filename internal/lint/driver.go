@@ -31,13 +31,13 @@ type Package struct {
 
 // CheckPackage runs the analyzers over one package: it builds the
 // //lint:allow index (reporting malformed directives as findings),
-// runs each analyzer, drops suppressed findings, and returns the rest
+// runs each analyzer, drops suppressed findings, reports the allows of
+// those analyzers that suppressed nothing, and returns the findings
 // sorted by position.
 func CheckPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	ix := buildAllowIndex(pkg.Fset, pkg.Files, func(d Diagnostic) {
-		diags = append(diags, d)
-	})
+	report := func(d Diagnostic) { diags = append(diags, d) }
+	ix := buildAllowIndex(pkg.Fset, pkg.Files, report)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:      a,
@@ -60,6 +60,7 @@ func CheckPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			})
 		}
 	}
+	ix.reportStale(analyzers, report)
 	sortDiagnostics(diags)
 	return diags
 }

@@ -13,11 +13,13 @@ import (
 // sync.{Mutex,RWMutex,WaitGroup,Once,Cond,Map}. All concurrency in a
 // simulation must ride the engine's event queue (Engine.Spawn procs,
 // events, virtual-time ordering) so that the interleaving is a function
-// of the seed, not of the Go scheduler. The only legitimate host
-// concurrency is the engine's own proc coroutine in internal/sim and
-// the pdes shard workers, and those few sites carry annotated
-// //lint:allow goleak(...) directives; the harness worker pool lives
-// outside the deterministic package set entirely.
+// of the seed, not of the Go scheduler. The only sanctioned host
+// concurrency is the engine's own proc coroutine in internal/sim (one
+// iter.Pull per proc, strictly alternating with the engine), and that
+// one site carries an annotated //lint:allow goleak(...) directive; the
+// pdes shard coordinator runs its shards on the caller's goroutine, and
+// the harness worker pool lives outside the deterministic package set
+// entirely.
 var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc: "flags raw goroutines, bare channel operations, and sync primitives in " +

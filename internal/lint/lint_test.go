@@ -14,7 +14,9 @@ import (
 // The testdata runner mirrors x/tools' analysistest: each testdata
 // package is parsed and type-checked, one analyzer runs over it, and
 // every diagnostic must be claimed by a `// want` comment with a
-// backquoted regexp on the same line (and vice versa).
+// backquoted regexp on the same line (and vice versa). A line whose
+// trailing comment must stay intact (a //lint:allow directive) carries
+// its expectation in a block comment instead: /* want `re` */.
 
 // detPath is the deterministic-core import path testdata packages are
 // checked under; hostPath is a host-side path outside the contract.
@@ -48,7 +50,10 @@ type wantExpectation struct {
 	claimed bool
 }
 
-var wantPattern = regexp.MustCompile("`([^`]+)`")
+var (
+	wantPattern = regexp.MustCompile("`([^`]+)`")
+	wantMarker  = regexp.MustCompile(`(//|/\*) want `)
+)
 
 func parseWants(t *testing.T, files []string) []*wantExpectation {
 	t.Helper()
@@ -59,11 +64,11 @@ func parseWants(t *testing.T, files []string) []*wantExpectation {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			_, rest, ok := strings.Cut(line, "// want ")
-			if !ok {
+			loc := wantMarker.FindStringIndex(line)
+			if loc == nil {
 				continue
 			}
-			ms := wantPattern.FindAllStringSubmatch(rest, -1)
+			ms := wantPattern.FindAllStringSubmatch(line[loc[1]:], -1)
 			if len(ms) == 0 {
 				t.Errorf("%s:%d: // want comment with no backquoted pattern", name, i+1)
 			}

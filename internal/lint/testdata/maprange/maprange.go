@@ -57,6 +57,19 @@ func okAllowed() int {
 	return n
 }
 
+// staleAllowed: an allow with no finding to suppress is itself an
+// error. A //lint:allow comment runs to the end of its line, so the
+// expectation rides in a block comment before it.
+func staleAllowed() []string {
+	keys := make([]string, 0, len(m))
+	/* want `stale //lint:allow maprange` */ //lint:allow maprange(collect-then-sort needs no allow)
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // okSliceRange: ranging over a slice is ordered and fine.
 func okSliceRange(xs []int) int {
 	n := 0

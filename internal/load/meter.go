@@ -87,7 +87,7 @@ func (m *Meter) FailAll(t sim.Time) {
 		return
 	}
 	ids := make([]int, 0, len(m.inflight))
-	for id := range m.inflight { //lint:allow maprange(keys sorted below before any effect escapes)
+	for id := range m.inflight {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)

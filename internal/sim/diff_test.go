@@ -158,9 +158,7 @@ func runDiffReal(ops []diffOp, gateOff bool) (fired []fireRec, pendings []int) {
 				panic(err)
 			}
 		case 3:
-			if _, err := e.RunWindow(e.Now().Add(Duration(op.delta))); err != nil {
-				panic(err)
-			}
+			e.RunWindow(e.Now().Add(Duration(op.delta)))
 		}
 		pendings = append(pendings, e.Pending())
 	}

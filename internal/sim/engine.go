@@ -282,9 +282,10 @@ func (e *Engine) Run(until Time) (Time, error) {
 // be waiting on events another engine will inject at the next shard
 // barrier (see sim/pdes). The clock always ends at until, keeping shard
 // clocks in lockstep, so a window with no events is a pure clock
-// advance.
-func (e *Engine) RunWindow(until Time) (Time, error) {
-	return e.run(until, true)
+// advance. A window never reports deadlock, so there is no error.
+func (e *Engine) RunWindow(until Time) Time {
+	now, _ := e.run(until, true)
+	return now
 }
 
 func (e *Engine) run(until Time, window bool) (Time, error) {

@@ -9,11 +9,11 @@
 //	min(next event time across shards) + lookahead
 //
 // are causally independent across shards, and each shard may process
-// its slice of that window on its own host core without ever seeing an
-// event from the past. Cross-shard interactions are timestamped
-// messages (Shard.Send) buffered in per-shard outboxes during a window
-// and exchanged at the barrier, so no null-message machinery is needed
-// beyond the window bound itself.
+// its slice of that window without ever seeing an event from the past.
+// Cross-shard interactions are timestamped messages (Shard.Send)
+// buffered in per-shard outboxes during a window and exchanged at the
+// barrier, so no null-message machinery is needed beyond the window
+// bound itself.
 //
 // Determinism: window bounds derive only from queued event times (never
 // host timing), each shard appends to its own outbox in its own event
@@ -27,23 +27,13 @@
 // unrelated events, which the scenarios' continuous-time workloads do
 // not generate (and the determinism tests verify).
 //
-// The host goroutines and channels below are the second sanctioned use
-// of host concurrency in the deterministic core (after the engine's
-// proc coroutines, see sim.Engine.Spawn). A group of N shards starts
-// N−1 workers, one per shard but the last, commanded over unbuffered
-// channels with a full barrier between windows — so the Go scheduler
-// chooses only *when* windows run, never their contents or order. In
-// each window the coordinator commands the workers of every active
-// shard except the highest-id one, runs that one itself, and then
-// collects the workers' results; a window with one active shard is the
-// same path with no worker commanded, and the coordinator does a
-// shard's work instead of only waiting at the barrier. The handoff
-// stays blocking: spin-then-park barriers were measured slower on an
-// oversubscribed 2-core host. A shard's window runs on its worker in
-// one window and on the coordinator in another, so its procs are
-// resumed from different goroutines over a run; the barrier orders
-// those resumes, and a proc's coroutine may be resumed by any goroutine
-// as long as no two resume it at once.
+// A Group runs on its caller's goroutine: each window runs the active
+// shards one after another in id order, so pdes adds no host
+// concurrency to the deterministic core. The shards are a deterministic
+// partition of the simulated fleet, not a unit of host parallelism:
+// -par already fills the host cores with whole cells, and fanning each
+// cell's windows out to worker goroutines on top of that was measured
+// slower on every scenario.
 package pdes
 
 import (
@@ -105,16 +95,6 @@ type Shard struct {
 	outbox []*message // filled by Send during a window, drained at the barrier
 	free   []*message // recycled message storage (returned at the barrier)
 	seq    uint64
-
-	cmd chan sim.Time
-	res chan windowResult
-}
-
-// windowResult carries a shard worker's window outcome back to the
-// coordinator, including a recovered panic to re-raise there.
-type windowResult struct {
-	err      error
-	panicked any
 }
 
 // ID returns the shard's index within its group.
@@ -167,7 +147,6 @@ type Group struct {
 	lookahead sim.Duration
 	merged    msgSlice    // barrier scratch, reused across windows
 	pending   []shardNext // window scratch: shards with queued events
-	active    []*Shard    // window scratch: shards with work this window
 	running   bool
 
 	// windows and widthSum profile the coordinator: how many lockstep
@@ -234,28 +213,6 @@ func (g *Group) KillAll() {
 	}
 }
 
-// runWindow runs the shard's engine up to end, recovering an engine
-// panic (including a proc panic) into the result so the coordinator can
-// re-raise it after the full barrier.
-func (s *Shard) runWindow(end sim.Time) (wr windowResult) {
-	defer func() { wr.panicked = recover() }()
-	_, wr.err = s.eng.RunWindow(end)
-	return wr
-}
-
-// worker is one shard's window executor: it runs windows on command
-// until its cmd channel closes. The channels arrive as arguments so the
-// goroutine never touches the Shard's channel fields, which the
-// coordinator clears after close.
-func (s *Shard) worker(cmd <-chan sim.Time, res chan<- windowResult) {
-	//lint:allow goleak(shard worker receive: pdes barrier protocol — the coordinator commands one window at a time and blocks on res, so exactly the commanded shards run between barriers)
-	for end := range cmd {
-		wr := s.runWindow(end)
-		//lint:allow goleak(shard worker send: barrier result hand-back; the coordinator always receives it before the next window)
-		res <- wr
-	}
-}
-
 // Run advances all shards in lockstep windows until every engine's
 // queue is dry (and no messages are in flight) or the next event lies
 // beyond until. It returns the group's final virtual time and an error
@@ -268,25 +225,6 @@ func (g *Group) Run(until sim.Time) (sim.Time, error) {
 	}
 	g.running = true
 	defer func() { g.running = false }()
-
-	// The highest-id shard always runs on the coordinator when it is
-	// active (see window), so only the others need workers.
-	workers := g.shards[:len(g.shards)-1]
-	for _, s := range workers {
-		//lint:allow goleak(unbuffered cmd channel is the coordinator half of the pdes barrier protocol; see package comment)
-		s.cmd = make(chan sim.Time)
-		//lint:allow goleak(unbuffered res channel is the worker half of the pdes barrier protocol; see package comment)
-		s.res = make(chan windowResult)
-		//lint:allow goleak(one worker goroutine per shard but the last, commanded one window at a time with a full barrier between windows — shut down via close(cmd) before Run returns)
-		go s.worker(s.cmd, s.res)
-	}
-	defer func() {
-		for _, s := range workers {
-			//lint:allow goleak(worker shutdown: closing cmd ends the worker's range loop)
-			close(s.cmd)
-			s.cmd, s.res = nil, nil
-		}
-	}()
 
 	for {
 		// One scan finds the safe bound and each shard's next event: no
@@ -311,9 +249,7 @@ func (g *Group) Run(until sim.Time) (sim.Time, error) {
 			// Everything left is beyond the horizon: advance the clocks
 			// (forward only) and leave the queues for a later Run.
 			for _, s := range g.shards {
-				if _, err := s.eng.RunWindow(until); err != nil {
-					return g.Now(), err
-				}
+				s.eng.RunWindow(until)
 			}
 			return g.Now(), nil
 		}
@@ -324,9 +260,7 @@ func (g *Group) Run(until sim.Time) (sim.Time, error) {
 		g.windows++
 		g.widthSum += end.Sub(minNext) + 1
 
-		if err := g.window(end); err != nil {
-			return g.Now(), err
-		}
+		g.window(end)
 		g.exchange()
 	}
 
@@ -337,48 +271,18 @@ func (g *Group) Run(until sim.Time) (sim.Time, error) {
 	return g.Now(), nil
 }
 
-// window runs every shard with work to end. Shards whose next event
-// lies beyond the window are skipped entirely — their clocks catch up
-// lazily — so a fleet with one hot shard pays no barrier fan-out. The
-// coordinator commands the workers of the active shards but the last
-// and runs that one itself, so a window with one active shard is the
-// same path with no worker commanded. Results are taken in shard order:
-// the lowest-id shard's panic or error wins.
-func (g *Group) window(end sim.Time) error {
-	active := g.active[:0]
+// window runs every shard with work to end, in shard-id order on the
+// caller's goroutine. Shards whose next event lies beyond the window
+// are skipped entirely — their clocks catch up lazily — so a fleet with
+// one hot shard pays nothing for the idle ones. A panic (including a
+// proc panic) propagates straight out of Run; shards run in id order,
+// so the lowest-id shard's panic wins.
+func (g *Group) window(end sim.Time) {
 	for _, p := range g.pending {
 		if p.at <= end {
-			active = append(active, p.s)
+			p.s.eng.RunWindow(end)
 		}
 	}
-	g.active = active
-	last := len(active) - 1 // minNext <= end, so at least one is active
-	for _, s := range active[:last] {
-		//lint:allow goleak(barrier fan-out send: commands the shard's worker to run one window)
-		s.cmd <- end
-	}
-	inline := active[last].runWindow(end)
-	var firstErr error
-	var panicked any
-	for i, s := range active {
-		wr := inline
-		if i < last {
-			//lint:allow goleak(barrier fan-in receive: collects the shard's window result; every commanded worker sends exactly one)
-			wr = <-s.res
-		}
-		if wr.panicked != nil && panicked == nil {
-			panicked = wr.panicked
-		}
-		if wr.err != nil && firstErr == nil {
-			firstErr = wr.err
-		}
-	}
-	if panicked != nil {
-		// Re-raise on the coordinator after the full barrier, so no
-		// worker is left mid-window.
-		panic(panicked)
-	}
-	return firstErr
 }
 
 // exchange drains every shard's outbox and injects the merged messages

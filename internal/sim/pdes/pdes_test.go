@@ -74,9 +74,8 @@ func TestLookaheadViolationPanics(t *testing.T) {
 func TestShardPanicReachesCoordinator(t *testing.T) {
 	g, s := newGroup(3)
 	s[2].Engine().After(sim.Millisecond, func() { panic("boom on shard 2") })
-	// Give the other shards work in the same window so their workers
-	// run alongside; shard 2, the highest-id active shard, runs inline
-	// on the coordinator either way.
+	// Give the other shards work in the same window, so they run
+	// before shard 2 does.
 	s[0].Engine().After(sim.Millisecond, func() {})
 	s[1].Engine().After(sim.Millisecond, func() {})
 	defer func() {
@@ -87,33 +86,8 @@ func TestShardPanicReachesCoordinator(t *testing.T) {
 	g.Run(sim.Forever)
 }
 
-// TestWorkerShardPanicReachesCoordinator: a panic on a shard that runs
-// on its worker (shard 0, while the last shard is active in the same
-// window) is re-raised on the coordinator.
-func TestWorkerShardPanicReachesCoordinator(t *testing.T) {
-	g, s := newGroup(3)
-	coord := goid()
-	var ran string
-	s[0].Engine().After(sim.Millisecond, func() {
-		ran = goid()
-		panic("boom on shard 0")
-	})
-	s[2].Engine().After(sim.Millisecond, func() {})
-	r := func() (r any) {
-		defer func() { r = recover() }()
-		g.Run(sim.Forever)
-		return nil
-	}()
-	if !strings.Contains(fmt.Sprint(r), "boom on shard 0") {
-		t.Fatalf("worker shard panic not propagated: %v", r)
-	}
-	if ran == "" || ran == coord {
-		t.Fatalf("shard 0 ran on goroutine %q, want a worker (coordinator is %s)", ran, coord)
-	}
-}
-
-// TestLowestShardPanicWins: when a worker-run shard and the inline shard
-// both panic in one window, Run re-raises the lowest-id shard's panic.
+// TestLowestShardPanicWins: when two shards both panic in one window,
+// Run re-raises the lowest-id shard's panic.
 func TestLowestShardPanicWins(t *testing.T) {
 	for _, tc := range []struct{ shards, worker, inline int }{
 		{2, 0, 1}, {3, 0, 2}, {3, 1, 2},
@@ -136,10 +110,9 @@ func TestLowestShardPanicWins(t *testing.T) {
 
 // TestProcPanicReachesCoordinator: a panic inside a proc body on a
 // shard surfaces from Group.Run as the engine's proc-panic error, and
-// leaves no proc current on that shard. The proc's shard 2 is the
-// highest-id active shard, so it runs inline on the coordinator both
-// when shard 0's worker runs the same window ("fan-out") and when it is
-// the only active shard ("inline").
+// leaves no proc current on that shard, both when shard 0 is active in
+// the same window ("fan-out") and when shard 2 is the only active shard
+// ("inline").
 func TestProcPanicReachesCoordinator(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -182,45 +155,36 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestRunStartsOneWorkerPerShardButLast: a group of n shards runs with
-// n−1 worker goroutines — in a window where every shard is active, shards
-// 0..n−2 run on distinct workers and the last on the coordinator — and
-// Run releases them before it returns.
-func TestRunStartsOneWorkerPerShardButLast(t *testing.T) {
+// TestRunStartsNoGoroutine: a group of n shards runs every shard's
+// events on the caller's goroutine — even in a window where every shard
+// is active — and starts no goroutine during Run.
+func TestRunStartsNoGoroutine(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
 		g, s := newGroup(n)
-		coord := goid()
+		caller := goid()
 		ran := make([]string, n)
-		during := 0
+		during := make([]int, n)
 		for i, sh := range s {
 			i := i
 			sh.Engine().After(sim.Millisecond, func() {
 				ran[i] = goid()
-				if i == n-1 {
-					during = runtime.NumGoroutine()
-				}
+				during[i] = runtime.NumGoroutine()
 			})
 		}
 		base := runtime.NumGoroutine()
 		if _, err := g.Run(sim.Forever); err != nil {
 			t.Fatal(err)
 		}
-		seen := map[string]bool{coord: true}
-		for i, id := range ran[:n-1] {
-			if seen[id] {
-				t.Fatalf("%d shards: shard %d ran on goroutine %s, want its own worker (runners %v, coordinator %s)", n, i, id, ran, coord)
+		for i := range s {
+			if ran[i] != caller {
+				t.Fatalf("%d shards: shard %d ran on goroutine %s, want the caller %s", n, i, ran[i], caller)
 			}
-			seen[id] = true
+			// Goroutines left by earlier tests can only exit meanwhile,
+			// so any count above base means Run started one.
+			if during[i] > base {
+				t.Fatalf("%d shards: %d goroutines while shard %d ran, want at most %d", n, during[i], i, base)
+			}
 		}
-		if ran[n-1] != coord {
-			t.Fatalf("%d shards: last shard ran on goroutine %s, want the coordinator %s", n, ran[n-1], coord)
-		}
-		// Goroutines left by earlier tests can only exit meanwhile, so
-		// more than n−1 new ones means Run started a spare worker.
-		if during-base > n-1 {
-			t.Fatalf("%d shards: %d goroutines during Run, want %d", n, during-base, n-1)
-		}
-		waitGoroutines(t, base)
 	}
 }
 
@@ -237,11 +201,9 @@ func goid() string {
 // between sleeping past the window edge and parking on a ping whose
 // echo readies it by cross-shard message; the ticker sleeps on a 30 ms
 // grid that shares some of the parker's windows and not others. So
-// across windows the parker is resumed both by its shard's worker (when
-// another shard is active too) and inline on the coordinator (when it
-// is alone). The group runs to until; runners collects the goroutines
-// that resumed the parker.
-func parkAcrossWindows(t *testing.T, shards int, until sim.Time, runners map[string]bool) (*Group, []string) {
+// across windows the parker is resumed both alongside another active
+// shard and alone. The group runs to until.
+func parkAcrossWindows(t *testing.T, shards int, until sim.Time) (*Group, []string) {
 	t.Helper()
 	g, s := newGroup(shards)
 	a, b, c := s[0], s[1%shards], s[2%shards]
@@ -255,8 +217,6 @@ func parkAcrossWindows(t *testing.T, shards int, until sim.Time, runners map[str
 	parker = a.Engine().Spawn("parker", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			logA = append(logA, fmt.Sprintf("%v step %d", a.Now(), i))
-			// Fires after the park, in the window that resumed us.
-			a.Engine().At(a.Now(), func() { runners[goid()] = true })
 			if i%2 == 0 {
 				p.Sleep(3 * look)
 			} else {
@@ -278,11 +238,10 @@ func parkAcrossWindows(t *testing.T, shards int, until sim.Time, runners map[str
 	return g, append(append(logA, logB...), logC...)
 }
 
-func TestProcResumedAcrossGoroutines(t *testing.T) {
+func TestProcParksAcrossWindows(t *testing.T) {
 	var ref []string
 	for _, n := range []int{1, 2, 3} {
-		runners := map[string]bool{}
-		g, log := parkAcrossWindows(t, n, sim.Forever, runners)
+		g, log := parkAcrossWindows(t, n, sim.Forever)
 		if g.Live() != 0 {
 			t.Fatalf("%d shards: live = %d after a full run", n, g.Live())
 		}
@@ -293,19 +252,15 @@ func TestProcResumedAcrossGoroutines(t *testing.T) {
 		if !reflect.DeepEqual(log, ref) {
 			t.Fatalf("%d shards diverged:\n%v\nwant\n%v", n, log, ref)
 		}
-		// The worker and the coordinator both resumed the parker.
-		if len(runners) < 2 {
-			t.Fatalf("%d shards: parker resumed by %d goroutine(s), want worker and coordinator", n, len(runners))
-		}
 	}
 }
 
 // TestKillAllAfterHorizonReleasesGoroutines: a horizon stop leaves procs
 // parked on several shards; KillAll unwinds them all, and every proc
-// coroutine and shard worker goroutine exits.
+// coroutine goroutine exits.
 func TestKillAllAfterHorizonReleasesGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	g, _ := parkAcrossWindows(t, 3, sim.Time(0).Add(100*sim.Millisecond), map[string]bool{})
+	g, _ := parkAcrossWindows(t, 3, sim.Time(0).Add(100*sim.Millisecond))
 	if g.Live() != 2 {
 		t.Fatalf("live = %d at the horizon, want both procs parked", g.Live())
 	}

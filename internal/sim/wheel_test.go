@@ -310,11 +310,7 @@ func TestWheelRunWindowPark(t *testing.T) {
 		t.Fatalf("NextEventTime = %v,%v, want %v,true", got, ok, at)
 	}
 	edge := at - 500
-	end, err := e.RunWindow(edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end != edge || e.Now() != edge {
+	if end := e.RunWindow(edge); end != edge || e.Now() != edge {
 		t.Fatalf("RunWindow parked at %v, want %v", end, edge)
 	}
 	if fired != -1 {
@@ -328,9 +324,7 @@ func TestWheelRunWindowPark(t *testing.T) {
 	var order []string
 	e.AtFunc(at-100, func(any) { order = append(order, "msg") }, nil)
 	e.At(at+50, func() { order = append(order, "late") })
-	if _, err := e.RunWindow(at + 100); err != nil {
-		t.Fatal(err)
-	}
+	e.RunWindow(at + 100)
 	if fired != at {
 		t.Fatalf("wheel event fired at %v, want %v", fired, at)
 	}
