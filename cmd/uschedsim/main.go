@@ -22,11 +22,12 @@
 //	            be replicated under independent random streams (0, the
 //	            default, keeps the paper seeds: output stays
 //	            byte-identical run to run)
-//	-shards N   spread each fleet cell (the cluster scenario) over N
-//	            conservative-parallel engine shards so one cell can use
-//	            several host cores; tables are byte-identical for any N
-//	            (0, the default, keeps one shared engine per cell;
-//	            scenarios without a fleet ignore the flag)
+//	-shards N   spread each fleet cell (the cluster and chaos scenarios)
+//	            over N engine shards advanced in conservative lockstep
+//	            windows; tables are byte-identical for any N (0 or 1,
+//	            the default 0 included, runs one engine per cell; N < 0
+//	            is a usage error; scenarios without a fleet ignore the
+//	            flag)
 //	-json       print the per-cell metrics report as JSON instead of tables
 //	-out FILE   also write the metrics report to FILE (.csv selects CSV)
 //	-metrics FILE
@@ -95,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "print one progress line per completed cell to stderr")
 	tracePath := fs.String("trace", "", "run one representative traced cell and write Chrome trace-event JSON to `file` (single shared engine: cannot be combined with -shards, -metrics, or -spans)")
 	seed := fs.Uint64("seed", 0, "replace each scenario's default RNG seed (0 keeps the paper seeds; output is then byte-identical)")
-	shards := fs.Int("shards", 0, "spread each fleet cell over `N` conservative-parallel engine shards (0 keeps one shared engine; tables are byte-identical for any N)")
+	shards := fs.Int("shards", 0, "spread each fleet cell over `N` conservative-parallel engine shards (0 or 1: one engine; tables are byte-identical for any N)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to `file`")
 	fs.Usage = func() { usage(fs) }
@@ -127,6 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if extra := fs.Args(); len(extra) > 0 {
 		fmt.Fprintf(stderr, "uschedsim: unexpected arguments %q\n", extra)
 		fs.Usage()
+		return 2
+	}
+	if *shards < 0 {
+		fmt.Fprintf(stderr, "uschedsim: -shards must be >= 0, got %d\n", *shards)
 		return 2
 	}
 

@@ -70,6 +70,16 @@ func TestUnknownSubcommandNamed(t *testing.T) {
 	}
 }
 
+func TestNegativeShardsRejected(t *testing.T) {
+	code, out, errOut := runCLI(t, "chaos", "-quick", "-shards", "-1")
+	if code != 2 || !strings.Contains(errOut, "-shards must be >= 0") {
+		t.Fatalf("-shards -1: exit %d, stderr:\n%s", code, errOut)
+	}
+	if out != "" {
+		t.Fatalf("-shards -1 ran anyway:\n%s", out)
+	}
+}
+
 func TestJSONReportRoundTripAndOutFile(t *testing.T) {
 	csvPath := filepath.Join(t.TempDir(), "cells.CSV") // extension match is case-insensitive
 	code, out, errOut := runCLI(t, "-quick", "-json", "-par", "64", "-out", csvPath, "lammps")

@@ -1,8 +1,8 @@
 // Package cluster turns the simulator from one machine into a fleet: a
 // Cluster owns several named Nodes — each a complete simulated system
-// (stack.System) with its own kernel, glibc, and USF state — on ONE
-// shared discrete-event engine, so a whole multi-node serving estate
-// runs in a single deterministic virtual timeline.
+// (stack.System) with its own kernel, glibc, and USF state — in one
+// deterministic virtual timeline, so a whole multi-node serving estate
+// runs as a single simulation.
 //
 // Arrivals come from a load.Source, a Router picks the serving node per
 // request, and a Network cost model charges per-hop latency plus
@@ -11,27 +11,28 @@
 // node-internal meters; node populations aggregate into cluster-wide
 // percentiles by merging their fixed-memory sketches.
 //
-// Determinism: nodes share the engine but not RNG namespaces — each
-// stack.System draws from its own seed (stack.NewOnEngine), routing
-// draws from the engine's "cluster/router" stream, and arrivals from
-// "cluster/client" — so any cluster run is byte-reproducible for any
-// host parallelism.
+// Determinism: nodes that share an engine do not share RNG namespaces —
+// each stack.System draws from its own seed (stack.NewOnEngine),
+// routing draws from the client engine's "cluster/router" stream, and
+// arrivals from "cluster/client" — so any cluster run is
+// byte-reproducible for any host parallelism.
 //
-// # Sharded fleets
+// # Shards
 //
-// NewSharded spreads the fleet over several engines advanced by a
-// conservative-parallel coordinator (sim/pdes): the client, router, and
-// end-to-end meter live on shard 0, node i on shard i%N, and every
-// router→node dispatch and node→client reply crosses shards as a
-// timestamped pdes message. The network's per-hop propagation delay is
-// the lookahead — every cross-shard interaction pays at least one hop —
-// so safe windows need no machinery beyond the barrier. All timestamps
-// (arrival at the node, completion, reply arrival) are the same virtual
-// instants the single shared engine produces, so tables are
-// byte-identical for any shard count, and shards=1 IS the shared-engine
-// path. Each piece of cluster state has a home shard: routing state,
-// flights, request links, and the end-to-end meter on shard 0; each
-// node's meter, reply link, and in-flight set on its own shard.
+// Every fleet is a pdes.Group of engine shards (sim/pdes): the client,
+// router, and end-to-end meter live on shard 0, node i on shard i%N. A
+// node that shares shard 0 with the client is reached by a local timer;
+// every other router→node dispatch and node→client reply crosses shards
+// as a timestamped pdes message. The network's per-hop propagation
+// delay is the lookahead — every cross-shard interaction pays at least
+// one hop — so safe windows need no machinery beyond the barrier. New
+// builds a one-shard group, which is a plain engine run; NewSharded
+// adds more shards. All timestamps (arrival at the node, completion,
+// reply arrival) are the same virtual instants at any shard count, so
+// tables are byte-identical for any N. Each piece of cluster state has
+// a home shard: routing state, flights, request links, and the
+// end-to-end meter on shard 0; each node's meter, reply link, and
+// in-flight set on its own shard.
 package cluster
 
 import (
@@ -49,7 +50,7 @@ import (
 // Backend is a node's serving workload: a resident service (e.g.
 // inference.Service) that accepts routed requests and reports each
 // completion through the callback it was constructed with. Stop drains
-// it after the last completion so the shared engine can run dry.
+// it after the last completion so the engines can run dry.
 type Backend interface {
 	// Submit delivers request id to the node. Called in event context at
 	// the simulated instant the request reaches the node.
@@ -74,12 +75,11 @@ type Node struct {
 	outstanding      int
 	dispatched       int
 
-	// eng is the engine the node's state is homed on: the cluster's
-	// shared engine, or the node's shard engine when sharded. The
-	// backend, node meter, reply link, and inflight set are touched only
-	// in this engine's event context.
+	// eng is the engine of the node's shard, where the node's state is
+	// homed: the backend, node meter, reply link, and inflight set are
+	// touched only in this engine's event context.
 	eng   *sim.Engine
-	shard *pdes.Shard // nil when the cluster is unsharded
+	shard *pdes.Shard
 	// reg scrapes the node-homed telemetry (node meter, kernel) on the
 	// node's own engine; nil when metrics are off.
 	reg *obs.Registry
@@ -179,13 +179,12 @@ type flight struct {
 	arrive, start, done sim.Time
 }
 
-// Cluster is a fleet of nodes behind a router on one shared engine, or
-// — when built with NewSharded — spread over several engines advanced
-// in conservative lockstep by a pdes.Group.
+// Cluster is a fleet of nodes behind a router, spread over the shards
+// of a pdes.Group: one shard when built with New, several in
+// conservative lockstep when built with NewSharded.
 type Cluster struct {
-	// Eng is the client-edge engine: arrivals, routing, and end-to-end
-	// metering run here. Unsharded clusters put everything on it;
-	// sharded clusters make it shard 0's engine.
+	// Eng is the client-edge engine, shard 0's: arrivals, routing, and
+	// end-to-end metering run here, and so does every node at one shard.
 	Eng *sim.Engine
 
 	cfg    Config
@@ -193,9 +192,8 @@ type Cluster struct {
 	nodes  []*Node
 	meter  *load.Meter // end-to-end: submission to reply arrival
 
-	group  *pdes.Group // nil when unsharded
-	shards []*pdes.Shard
-	client *pdes.Shard // shard 0: the client edge's home
+	group  *pdes.Group
+	shards []*pdes.Shard // shards[0] is the client edge's home
 
 	src       load.Source
 	total     int
@@ -206,8 +204,8 @@ type Cluster struct {
 	finished bool
 
 	// look is the one-hop network lookahead — min(request, reply
-	// latency) — used for liveness notifications in both sharded and
-	// unsharded mode, so their instants agree.
+	// latency) — the group's lookahead and the delay of liveness
+	// notifications at any shard count, so their instants agree.
 	look sim.Duration
 
 	// Resilience state, client-engine-owned. rs is per-request state
@@ -239,101 +237,75 @@ type Cluster struct {
 	spans []obs.Span
 }
 
-// New builds an empty cluster on eng. Add nodes, then call Serve.
+// New builds an empty cluster on eng, which becomes shard 0 of a
+// one-shard group: every node lives on eng too, and Run is a plain
+// engine run. Add nodes, then call Serve.
 func New(eng *sim.Engine, cfg Config, r Router) *Cluster {
 	look := cfg.Net.RequestLatency
 	if cfg.Net.ReplyLatency < look {
 		look = cfg.Net.ReplyLatency
 	}
-	if look < 0 {
-		look = 0
-	}
+	g := pdes.New(look)
 	return &Cluster{
 		Eng:    eng,
 		cfg:    cfg,
 		router: r,
 		meter:  load.NewMeter(cfg.SLO),
 		look:   look,
+		group:  g,
+		shards: []*pdes.Shard{g.AddShard(eng)},
 	}
 }
 
 // NewSharded builds a cluster spread over `shards` engines advanced in
-// conservative lockstep (see the package comment): the client edge on
-// shard 0, node i on shard i%shards. Build each node's stack.System on
+// conservative lockstep (see the package comment): New on a fresh
+// engine as shard 0, the client edge's home, plus shards 1..shards−1;
+// node i lives on shard i%shards. Build each node's stack.System on
 // NodeEngine(i), not on Eng. Every shard engine derives from the same
 // seed — only the client shard consumes engine RNG streams, and node
 // systems root their streams at their own seeds — so the simulated
-// timeline is byte-identical for any shard count.
-//
-// shards <= 1 returns exactly New(sim.NewEngine(seed), cfg, r): the
-// shared-engine path with no coordinator.
+// timeline is byte-identical for any shard count. A shard count below
+// two gives one shard.
 //
 // The cross-shard lookahead is min(RequestLatency, ReplyLatency) —
-// every cross-shard interaction is a network hop — so sharded clusters
-// need a positive propagation delay in both directions.
+// every cross-shard interaction is a network hop — so more than one
+// shard needs a positive propagation delay in both directions (pdes
+// panics otherwise).
 func NewSharded(cfg Config, r Router, shards int, seed uint64) *Cluster {
-	if shards <= 1 {
-		return New(sim.NewEngine(seed), cfg, r)
+	c := New(sim.NewEngine(seed), cfg, r)
+	for i := 1; i < shards; i++ {
+		c.shards = append(c.shards, c.group.AddShard(sim.NewEngine(seed)))
 	}
-	look := cfg.Net.RequestLatency
-	if cfg.Net.ReplyLatency < look {
-		look = cfg.Net.ReplyLatency
-	}
-	if look <= 0 {
-		panic("cluster: sharded mode needs positive request and reply latencies (they bound the lookahead)")
-	}
-	g := pdes.New(look)
-	ss := make([]*pdes.Shard, shards)
-	for i := range ss {
-		ss[i] = g.AddShard(sim.NewEngine(seed))
-	}
-	c := New(ss[0].Engine(), cfg, r)
-	c.group = g
-	c.shards = ss
-	c.client = ss[0]
 	return c
 }
 
-// NodeEngine returns the engine node index i will live on: the shared
-// engine, or shard i%shards when sharded. Build node i's stack.System
-// on this engine before AddNode.
+// NodeEngine returns the engine node index i will live on: shard
+// i%Shards(). Build node i's stack.System on this engine before
+// AddNode.
 func (c *Cluster) NodeEngine(i int) *sim.Engine {
-	if c.group == nil {
-		return c.Eng
-	}
 	return c.shards[i%len(c.shards)].Engine()
 }
 
-// Shards reports the shard count (1 when unsharded).
-func (c *Cluster) Shards() int {
-	if c.group == nil {
-		return 1
-	}
-	return len(c.shards)
-}
+// Shards reports the shard count.
+func (c *Cluster) Shards() int { return len(c.shards) }
 
-// Now returns the cluster's current virtual time: the shared engine's
-// clock, or the latest shard clock when sharded.
-func (c *Cluster) Now() sim.Time {
-	if c.group == nil {
-		return c.Eng.Now()
-	}
-	return c.group.Now()
-}
+// Now returns the cluster's current virtual time: the latest shard
+// clock.
+func (c *Cluster) Now() sim.Time { return c.group.Now() }
 
-// Elapsed returns the run's virtual duration for reporting. Unsharded
-// clusters report the engine's final clock — the historical value,
-// preserved byte-for-byte. Sharded completed runs report the instant
-// the final reply reached the client: teardown drains remote shards one
-// lookahead later, which is coordination bookkeeping rather than
-// workload, so the reply instant is the value that is invariant across
-// shard counts (and equals the unsharded clock up to the same-instant
-// drain events).
+// Elapsed returns the run's virtual duration for reporting: the final
+// clock, except that a completed run over several shards reports the
+// instant the final reply reached the client. There, teardown drains
+// remote shards one lookahead later, which is coordination bookkeeping
+// rather than workload, so the reply instant is the value that is
+// invariant across shard counts. One shard keeps the final clock, the
+// value its tables have always reported: work still draining after the
+// final reply moves it past the reply instant in 9 of the 24 chaos
+// cells of the scenario benchmark and in all 36 `uschedsim cluster
+// -quick` cells, and the benchmark's golden fingerprints hash
+// ChaosCell.Elapsed, so one meaning for both would change them.
 func (c *Cluster) Elapsed() sim.Duration {
-	if c.group == nil {
-		return sim.Duration(c.Eng.Now())
-	}
-	if c.served && c.finished {
+	if len(c.shards) > 1 && c.served && c.finished {
 		return sim.Duration(c.doneAt)
 	}
 	return sim.Duration(c.group.Now())
@@ -366,10 +338,8 @@ func (c *Cluster) AddNode(name string, sys *stack.System, newBackend func(done f
 	n := &Node{
 		Name: name, Sys: sys, meter: load.NewMeter(c.cfg.SLO),
 		eng:      c.NodeEngine(ni),
+		shard:    c.shards[ni%len(c.shards)],
 		inflight: make(map[int]*flight),
-	}
-	if c.group != nil {
-		n.shard = c.shards[ni%len(c.shards)]
 	}
 	if sys != nil && sys.Eng != n.eng {
 		// A node system built on the wrong engine would run on a foreign
@@ -512,7 +482,7 @@ func (c *Cluster) hop(n *Node, toNode bool, d sim.Duration, fn func(any), arg an
 	if d == teardown {
 		d = c.look
 	}
-	from, to := n.shard, c.client
+	from, to := n.shard, c.shards[0]
 	if toNode {
 		from, to = to, from
 	}
@@ -600,20 +570,15 @@ func (c *Cluster) Completed() int { return c.completed }
 // Run drives the fleet to completion with a horizon (zero means none);
 // it reports whether the horizon was hit and tears the whole fleet down
 // in that case, exactly like stack.System.Run does for one machine.
-// Sharded clusters advance all shards in lockstep windows; the caller
-// still sees one blocking call with the same contract.
+// Several shards advance in lockstep windows; the caller still sees one
+// blocking call with the same contract.
 func (c *Cluster) Run(horizon sim.Duration) (timedOut bool, err error) {
-	var hit bool
-	if c.group == nil {
-		_, hit, err = c.Eng.RunHorizon(horizon)
-	} else {
-		_, hit, err = c.group.RunHorizon(horizon)
-	}
+	_, hit, err := c.group.RunHorizon(horizon)
 	if err != nil {
 		return false, err
 	}
-	if hit && (c.completed+c.failedReqs < c.total || c.live() > 0) {
-		c.killAll()
+	if hit && (c.completed+c.failedReqs < c.total || c.group.Live() > 0) {
+		c.group.KillAll()
 		if c.served && !c.finished {
 			c.abandon(horizon)
 		}
@@ -664,23 +629,6 @@ func (c *Cluster) abandon(horizon sim.Duration) {
 	}
 }
 
-// live counts live procs across the fleet's engines.
-func (c *Cluster) live() int {
-	if c.group == nil {
-		return c.Eng.Live()
-	}
-	return c.group.Live()
-}
-
-// killAll tears down every live proc on every engine.
-func (c *Cluster) killAll() {
-	if c.group == nil {
-		c.Eng.KillAll()
-		return
-	}
-	c.group.KillAll()
-}
-
 // Samples returns the scraped telemetry rows merged across every
 // registry (client edge plus one per node) in canonical (At, Node,
 // Series) order. Empty when Config.MetricsInterval was zero. Call after
@@ -706,9 +654,6 @@ func (c *Cluster) Spans() []obs.Span { return c.spans }
 // count (coordination events), so it belongs in profiling reports, not
 // in shard-invariant metric exports.
 func (c *Cluster) Events() int64 {
-	if c.group == nil {
-		return int64(c.Eng.Processed())
-	}
 	var total int64
 	for _, s := range c.shards {
 		total += int64(s.Engine().Processed())
@@ -716,15 +661,10 @@ func (c *Cluster) Events() int64 {
 	return total
 }
 
-// WindowStats reports the conservative-window profile of a sharded run
-// (zero when unsharded). Like Events, this is profiling data — windows
-// only exist when sharded.
-func (c *Cluster) WindowStats() pdes.WindowStats {
-	if c.group == nil {
-		return pdes.WindowStats{}
-	}
-	return c.group.WindowStats()
-}
+// WindowStats reports the run's conservative-window profile (no
+// windows at one shard). Like Events, this is profiling data — windows
+// only exist across shards.
+func (c *Cluster) WindowStats() pdes.WindowStats { return c.group.WindowStats() }
 
 // NodeStats is one node's slice of a cluster run.
 type NodeStats struct {

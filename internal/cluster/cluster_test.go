@@ -145,13 +145,82 @@ func TestShardedNeedsPositiveLatency(t *testing.T) {
 	NewSharded(Config{Net: Network{ReplyLatency: sim.Millisecond}}, NewRoundRobin(), 2, 1)
 }
 
+// TestShardedOneShardIsSharedEngine: a one-shard NewSharded fleet with
+// zero network latency (no lookahead at all) serves to completion
+// exactly like New on a fresh engine with the same seed.
 func TestShardedOneShardIsSharedEngine(t *testing.T) {
-	c := NewSharded(Config{}, NewRoundRobin(), 1, 1)
-	if c.group != nil || c.Shards() != 1 {
-		t.Fatal("shards=1 did not degenerate to the shared-engine path")
+	service := []sim.Duration{2 * sim.Millisecond, 5 * sim.Millisecond, 3 * sim.Millisecond}
+	run := func(c *Cluster) (Stats, sim.Duration) {
+		if c.Shards() != 1 || c.NodeEngine(2) != c.Eng {
+			t.Fatalf("shards = %d, NodeEngine(2) is Eng: %v; want every node on Eng", c.Shards(), c.NodeEngine(2) == c.Eng)
+		}
+		for i, d := range service {
+			i, d := i, d
+			c.AddNode(nodeName(i), nil, func(done func(id int)) Backend {
+				return &stubBackend{eng: c.NodeEngine(i), service: d, done: done}
+			})
+		}
+		c.Serve(&load.Bursty{Base: 200, Burst: 2000, MeanDwell: 10 * sim.Millisecond}, 60)
+		if _, err := c.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if c.Completed() != 60 {
+			t.Fatalf("completed %d of 60", c.Completed())
+		}
+		return c.Stats(), c.Elapsed()
 	}
-	if c.NodeEngine(3) != c.Eng {
-		t.Fatal("NodeEngine != Eng on the shared-engine path")
+	const seed = 5
+	want, wantElapsed := run(New(sim.NewEngine(seed), Config{}, NewLeastOutstanding()))
+	got, gotElapsed := run(NewSharded(Config{}, NewLeastOutstanding(), 1, seed))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one-shard NewSharded stats:\n%+v\nNew:\n%+v", got, want)
+	}
+	if gotElapsed != wantElapsed || gotElapsed <= 0 {
+		t.Fatalf("one-shard NewSharded elapsed %v, New %v", gotElapsed, wantElapsed)
+	}
+}
+
+// lingeringBackend is a stubBackend whose Stop schedules one more
+// event, so its engine runs on past the final reply.
+type lingeringBackend struct{ *stubBackend }
+
+func (b lingeringBackend) Stop() {
+	b.stubBackend.Stop()
+	b.eng.After(5*sim.Millisecond, func() {})
+}
+
+// TestElapsedRule pins the two meanings of Elapsed: one shard reports
+// the engine's final clock, several shards report the instant the
+// final reply reached the client.
+func TestElapsedRule(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c := NewSharded(Config{Net: shardNet, Spans: true}, NewRoundRobin(), shards, 1)
+		for i := 0; i < 2; i++ {
+			i := i
+			c.AddNode(nodeName(i), nil, func(done func(id int)) Backend {
+				return lingeringBackend{&stubBackend{eng: c.NodeEngine(i), service: sim.Millisecond, done: done}}
+			})
+		}
+		c.Serve(&load.Bursty{Base: 200, Burst: 2000, MeanDwell: 10 * sim.Millisecond}, 20)
+		if _, err := c.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		var lastReply sim.Time
+		for _, sp := range c.Spans() {
+			if sp.Reply > lastReply {
+				lastReply = sp.Reply
+			}
+		}
+		if c.Now() <= lastReply {
+			t.Fatalf("%d shards: clock %v not past the final reply %v", shards, c.Now(), lastReply)
+		}
+		want := sim.Duration(lastReply)
+		if shards == 1 {
+			want = sim.Duration(c.Eng.Now())
+		}
+		if got := c.Elapsed(); got != want {
+			t.Fatalf("%d shards: Elapsed() = %v, want %v", shards, got, want)
+		}
 	}
 }
 
@@ -377,7 +446,7 @@ func TestTelemetryIdenticalAcrossShards(t *testing.T) {
 		}
 		ws := c.WindowStats()
 		if shards == 1 && ws.Windows != 0 {
-			t.Fatalf("unsharded run reported %d pdes windows", ws.Windows)
+			t.Fatalf("one-shard run reported %d pdes windows", ws.Windows)
 		}
 		if shards > 1 && ws.Windows == 0 {
 			t.Fatalf("%d shards: no pdes windows recorded", shards)

@@ -34,6 +34,13 @@
 // -par already fills the host cores with whole cells, and fanning each
 // cell's windows out to worker goroutines on top of that was measured
 // slower on every scenario.
+//
+// A lone shard has no peers, so a one-shard group is a plain engine:
+// Run is the engine's own Run (no windows, and the engine's deadlock
+// error, Stop and past-horizon behaviour), and Send schedules straight
+// onto the engine. The lookahead bounds nothing there, so a zero
+// lookahead is legal for a group that stays at one shard; AddShard
+// refuses a second shard unless the lookahead is positive.
 package pdes
 
 import (
@@ -111,7 +118,8 @@ func (s *Shard) Now() sim.Time { return s.eng.Now() }
 // called from within s's own execution (an event callback or proc on
 // s's engine), and at must respect the group's lookahead:
 // at >= s.Now() + lookahead. Sends to the shard itself are legal and
-// simply take the barrier path like any other message.
+// take the barrier path like any other message, except in a one-shard
+// group, where every send is a plain engine event.
 func (s *Shard) Send(dst *Shard, at sim.Time, fn func(any), arg any) {
 	if dst.g != s.g {
 		panic("pdes: Send across groups")
@@ -119,6 +127,10 @@ func (s *Shard) Send(dst *Shard, at sim.Time, fn func(any), arg any) {
 	if min := s.eng.Now().Add(s.g.lookahead); at < min {
 		panic(fmt.Sprintf("pdes: send from shard %d at %v for %v violates lookahead %v",
 			s.id, s.eng.Now(), at, s.g.lookahead))
+	}
+	if len(s.g.shards) == 1 {
+		s.eng.AtFunc(at, fn, arg)
+		return
 	}
 	s.seq++
 	var m *message
@@ -156,23 +168,22 @@ type Group struct {
 }
 
 // New returns an empty group with the given lookahead — the minimum
-// virtual latency of any cross-shard interaction. It must be positive:
-// a zero lookahead admits no safe window.
+// virtual latency of any cross-shard interaction. A lookahead that is
+// not positive admits no safe window, so it is legal only while the
+// group has at most one shard (see AddShard).
 func New(lookahead sim.Duration) *Group {
-	if lookahead <= 0 {
-		panic("pdes: lookahead must be positive")
-	}
 	return &Group{lookahead: lookahead}
 }
 
-// Lookahead returns the group's safe-window width.
-func (g *Group) Lookahead() sim.Duration { return g.lookahead }
-
 // AddShard wraps eng as the group's next shard. All shards must be
-// added before the first Run.
+// added before the first Run. A second shard needs a positive
+// lookahead.
 func (g *Group) AddShard(eng *sim.Engine) *Shard {
 	if g.running {
 		panic("pdes: AddShard during Run")
+	}
+	if len(g.shards) > 0 && g.lookahead <= 0 {
+		panic(fmt.Sprintf("pdes: a second shard needs a positive lookahead, have %v", g.lookahead))
 	}
 	s := &Shard{g: g, id: len(g.shards), eng: eng}
 	g.shards = append(g.shards, s)
@@ -218,13 +229,17 @@ func (g *Group) KillAll() {
 // beyond until. It returns the group's final virtual time and an error
 // if the whole simulation deadlocked: procs alive somewhere but no
 // shard has events and no messages are pending. Like sim.Engine.Run, a
-// horizon in the past of every shard clock returns immediately.
+// horizon in the past of every shard clock returns immediately. A
+// one-shard group runs its engine's Run and counts no windows.
 func (g *Group) Run(until sim.Time) (sim.Time, error) {
 	if len(g.shards) == 0 {
 		return 0, nil
 	}
 	g.running = true
 	defer func() { g.running = false }()
+	if len(g.shards) == 1 {
+		return g.shards[0].eng.Run(until)
+	}
 
 	for {
 		// One scan finds the safe bound and each shard's next event: no

@@ -378,16 +378,95 @@ func TestShardCountInvariant(t *testing.T) {
 	}
 }
 
+// TestEmptyGroupAndZeroLookahead: an empty group runs nothing; a zero
+// lookahead is legal while the group has one shard (a same-instant self
+// send is a plain engine event there), and a second shard then panics.
 func TestEmptyGroupAndZeroLookahead(t *testing.T) {
 	if end, err := New(look).Run(sim.Forever); end != 0 || err != nil {
 		t.Fatalf("empty group run: %v, %v", end, err)
 	}
+	g := New(0)
+	s := g.AddShard(sim.NewEngine(7))
+	var firedAt sim.Time
+	s.Engine().After(sim.Millisecond, func() {
+		s.Send(s, s.Now(), func(any) { firedAt = s.Now() }, nil)
+	})
+	if _, err := g.Run(sim.Forever); err != nil || firedAt != sim.Time(0).Add(sim.Millisecond) {
+		t.Fatalf("zero-lookahead lone shard: fired at %v, err %v", firedAt, err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("zero lookahead accepted")
+			t.Fatal("second shard joined a zero-lookahead group")
 		}
 	}()
-	New(0)
+	g.AddShard(sim.NewEngine(7))
+}
+
+// oneShardScript drives one scripted timeline on eng: timers (two of
+// them cancelled), a proc that sleeps, parks, is woken by a message
+// sent to its own engine, and parks for good, and a Stop with a second
+// event queued at the same instant. It runs to a horizon the Stop cuts
+// short, then to a horizon in the past, then with no horizon into a
+// deadlock. run and send are either a bare engine's Run and AtFunc or a
+// one-shard group's Run and self-Send. It returns the fired-event log
+// with each run's final clock and whether it returned an error.
+func oneShardScript(eng *sim.Engine, run func(sim.Time) (sim.Time, error), send func(sim.Time, func(any), any)) []string {
+	var log []string
+	rec := func(arg any) { log = append(log, fmt.Sprintf("%v %v", eng.Now(), arg)) }
+	ms := func(n int) sim.Time { return sim.Time(0).Add(sim.Duration(n) * sim.Millisecond) }
+	for i := 0; i < 6; i++ {
+		ev := eng.AtFunc(ms(5*i+1), rec, fmt.Sprintf("timer %d", i))
+		if i%3 == 1 {
+			ev.Cancel()
+		}
+	}
+	parker := eng.Spawn("parker", func(p *sim.Proc) {
+		rec("parker sleeps")
+		p.Sleep(3 * sim.Millisecond)
+		rec("parker parks")
+		p.Park()
+		rec("parker woke")
+		p.Park()
+	})
+	eng.Ready(parker)
+	eng.At(ms(7), func() {
+		rec("send")
+		send(eng.Now().Add(look), func(arg any) {
+			rec(arg)
+			eng.Ready(parker)
+		}, "wake")
+	})
+	eng.At(ms(12), func() {
+		rec("stop")
+		eng.Stop()
+	})
+	eng.AtFunc(ms(12), rec, "after stop")
+	for _, until := range []sim.Time{ms(40), ms(5), sim.Forever} {
+		end, err := run(until)
+		log = append(log, fmt.Sprintf("run to %v: end %v, error %v", until, end, err != nil))
+	}
+	return log
+}
+
+// TestOneShardGroupIsEngine: a one-shard group is a plain engine. The
+// same scripted timeline on a bare engine and on a one-shard group with
+// the same seed fires the same events at the same instants, ends each
+// run at the same clock with the same error presence, and the group
+// counts no lockstep windows.
+func TestOneShardGroupIsEngine(t *testing.T) {
+	bare := sim.NewEngine(7)
+	want := oneShardScript(bare, bare.Run, func(at sim.Time, fn func(any), arg any) { bare.AtFunc(at, fn, arg) })
+	g, s := newGroup(1)
+	got := oneShardScript(s[0].Engine(), g.Run, func(at sim.Time, fn func(any), arg any) { s[0].Send(s[0], at, fn, arg) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one-shard group:\n%s\nbare engine:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if last := want[len(want)-1]; !strings.HasSuffix(last, "error true") {
+		t.Fatalf("script did not end in a deadlock: %q", last)
+	}
+	if ws := g.WindowStats(); ws.Windows != 0 || ws.WidthSum != 0 {
+		t.Fatalf("one shard ran %d windows of total width %v, want none", ws.Windows, ws.WidthSum)
+	}
 }
 
 func TestWindowStats(t *testing.T) {
@@ -505,7 +584,8 @@ func shardedDenseTimers(t *testing.T, shards int) []string {
 	if inserts == 0 {
 		t.Fatal("dense burst never touched the timing wheel")
 	}
-	if ws := g.WindowStats(); ws.Windows < 2 {
+	// A lone shard runs no lockstep windows.
+	if ws := g.WindowStats(); shards > 1 && ws.Windows < 2 {
 		t.Fatalf("windows = %d, want the bursts to span several lockstep windows", ws.Windows)
 	}
 	return log

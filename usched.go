@@ -302,11 +302,12 @@ type (
 
 // Cluster layer (internal/cluster): a fleet of named nodes — each a
 // complete simulated machine — behind a routing policy and a network
-// cost model, serving routed traffic end to end on one shared engine
-// or (NewShardedCluster) over conservative-parallel engine shards.
+// cost model, serving routed traffic end to end over the shards of one
+// conservative-parallel engine group: one shard (NewCluster) or several
+// (NewShardedCluster).
 type (
-	// Cluster is a multi-node fleet on one shared engine, or on several
-	// conservative-parallel shards (NewShardedCluster).
+	// Cluster is a multi-node fleet over one engine shard (NewCluster)
+	// or several conservative-parallel shards (NewShardedCluster).
 	Cluster = cluster.Cluster
 	// ClusterNode is one named machine of a fleet.
 	ClusterNode = cluster.Node
@@ -424,18 +425,20 @@ type (
 // quantile into mean network/queue/service shares.
 func BreakSpanTail(spans []RequestSpan, q float64) TailBreakdown { return obs.BreakTail(spans, q) }
 
-// NewCluster builds an empty fleet on eng; add nodes, then Serve.
+// NewCluster builds an empty fleet on eng, the group's one shard: every
+// node lives on eng and Run is a plain engine run. Add nodes, then
+// Serve.
 func NewCluster(eng *sim.Engine, opts ClusterOptions, r ClusterRouting) *Cluster {
 	return cluster.New(eng, opts, r)
 }
 
 // NewShardedCluster builds a fleet spread over `shards` engines
 // advanced in conservative lockstep windows (Chandy–Misra–Bryant
-// lookahead synchronisation over the network's propagation delay), so
-// one big fleet can use several host cores while producing results
-// byte-identical to the shared-engine path. Build each node's system on
-// NodeEngine(i), not on Eng; shards <= 1 is exactly NewCluster on a
-// fresh engine.
+// lookahead synchronisation over the network's propagation delay),
+// producing results byte-identical to one shard. It is NewCluster on a
+// fresh engine plus shards 1..shards−1; shards <= 1 gives one shard.
+// Build each node's system on NodeEngine(i), not on Eng. More than one
+// shard needs positive request and reply latencies.
 func NewShardedCluster(opts ClusterOptions, r ClusterRouting, shards int, seed uint64) *Cluster {
 	return cluster.NewSharded(opts, r, shards, seed)
 }
