@@ -168,7 +168,31 @@ type Pthread struct {
 	joinWaiters []*nosv.Task  // USF-mode joiners
 	retval      any
 	detached    bool
+
+	spin SpinWait
 }
+
+// SpinWait is the state of one busy-wait in progress on a thread. Package
+// spin's poll loop owns its fields; it lives by value in the thread's
+// Pthread, so a wait allocates nothing, and the loop can run as a resume
+// step on the engine stack with this struct as its argument.
+type SpinWait struct {
+	Lib *Lib
+	// Cond(Arg, N) reports whether the wait is over.
+	Cond func(arg any, n int) bool
+	Arg  any
+	N    int
+	// Yield enables the sched_yield patch.
+	Yield bool
+	// Spins counts finished polls; YieldDue marks a poll whose
+	// sched_yield is still to be made; Done marks a satisfied Cond.
+	Spins    int
+	YieldDue bool
+	Done     bool
+}
+
+// SpinWait returns the calling thread's busy-wait slot.
+func (l *Lib) SpinWait() *SpinWait { return &l.Self().spin }
 
 // Task returns the pthread's bound nOS-V task (nil under the standard
 // backend).
@@ -338,6 +362,17 @@ func (l *Lib) SchedYield() {
 	self.KT.Yield()
 }
 
+// SchedYieldWouldPark reports, without side effects, whether SchedYield
+// called now could park the calling thread. A false answer is a promise
+// that it will not, so a resume step may then call SchedYield.
+func (l *Lib) SchedYieldWouldPark() bool {
+	self := l.Self()
+	if l.Inst != nil {
+		return l.Inst.YieldWouldPark(self.task)
+	}
+	return self.KT.YieldWouldPark()
+}
+
 // Sleep blocks the calling thread for d. Under glibcv the core is handed
 // over via nosv_waitfor.
 func (l *Lib) Sleep(d sim.Duration) {
@@ -375,6 +410,16 @@ func (l *Lib) GetAffinity(pt *Pthread) kernel.Mask {
 
 // Compute is a convenience passthrough so workloads hold one handle.
 func (l *Lib) Compute(d sim.Duration) { l.Self().KT.Compute(d) }
+
+// StartCompute begins d of CPU work without waiting for it (see
+// kernel.Thread.StartCompute) and reports whether the caller must park.
+func (l *Lib) StartCompute(d sim.Duration) bool {
+	return l.Self().KT.StartCompute(d, kernel.ComputeOpts{})
+}
+
+// ParkStep parks the calling thread with a resume step armed (see
+// kernel.Thread.ParkStep).
+func (l *Lib) ParkStep(step func(any) bool, arg any) { l.Self().KT.ParkStep(step, arg) }
 
 // ComputeOpts is Compute with bandwidth/footprint qualifiers.
 func (l *Lib) ComputeOpts(d sim.Duration, o kernel.ComputeOpts) {

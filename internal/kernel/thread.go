@@ -235,9 +235,20 @@ func (t *Thread) Compute(d sim.Duration) { t.ComputeOpts(d, ComputeOpts{}) }
 
 // ComputeOpts is Compute with a bandwidth demand and cache footprint.
 func (t *Thread) ComputeOpts(d sim.Duration, o ComputeOpts) {
+	if t.StartCompute(d, o) {
+		t.proc.Park()
+	}
+}
+
+// StartCompute is ComputeOpts without the wait: it begins the segment
+// and reports whether one was started. When it returns true the caller
+// must park until the segment completes (the kernel readies the thread
+// then), either by returning from a resume step (see ParkStep) or by
+// calling ParkStep. It never parks itself, so a resume step may call it.
+func (t *Thread) StartCompute(d sim.Duration, o ComputeOpts) bool {
 	t.assertCurrent()
 	if d <= 0 && t.pendingPenalty <= 0 {
-		return
+		return false
 	}
 	if d < 0 {
 		d = 0
@@ -267,7 +278,28 @@ func (t *Thread) ComputeOpts(d sim.Duration, o ComputeOpts) {
 	}
 	// Otherwise we were preempted at a call boundary; the segment will
 	// start when a core dispatches us.
-	t.proc.Park()
+	return true
+}
+
+// ParkStep parks the calling thread with step(arg) as its resume step
+// (see sim.Proc.ParkStep): the step runs on the engine stack at every
+// resume, and the thread's code continues only once it returns false.
+// Use it right after StartCompute returned true; the step must never
+// park.
+func (t *Thread) ParkStep(step func(any) bool, arg any) {
+	t.assertCurrent()
+	t.proc.ParkStep(step, arg)
+}
+
+// YieldWouldPark reports, without side effects, whether Yield called now
+// could park the thread: it is already off-CPU, or YieldImmediate is set
+// and a competitor is queued on its core. When it returns false, Yield
+// returns without parking.
+func (t *Thread) YieldWouldPark() bool {
+	if t.state != ThreadRunning {
+		return true
+	}
+	return t.kern.Params.YieldImmediate && t.kern.cores[t.curCore].hasCompetitor(t)
 }
 
 // Yield models sched_yield: the thread stays runnable but is pushed behind

@@ -45,6 +45,10 @@ type Rank struct {
 	lib  *glibc.Lib
 	// inbox[src] holds messages from that source, FIFO.
 	inbox [][]message
+	// recvTag is the tag a Recv in progress awaits; got is the message
+	// its poll consumed.
+	recvTag int
+	got     message
 }
 
 // Register attaches the calling process (rank id) to the world.
@@ -79,21 +83,27 @@ func (r *Rank) Send(dst, tag int, bytes int64) {
 // Recv blocks (busy-polling, like MPICH's progress engine) until a message
 // with the given source and tag arrives, then consumes it.
 func (r *Rank) Recv(src, tag int) int64 {
-	var got message
-	spin.Until(r.lib, func() bool {
-		q := r.inbox[src]
-		for i, m := range q {
-			if m.tag == tag {
-				got = m
-				copy(q[i:], q[i+1:])
-				r.inbox[src] = q[:len(q)-1]
-				return true
-			}
-		}
-		return false
-	}, r.w.Yield)
+	r.recvTag = tag
+	spin.UntilFunc(r.lib, recvArrived, r, src, r.w.Yield)
+	got := r.got
 	r.lib.Compute(recvOverhead + sim.Duration(float64(got.bytes)/copyBytesPerNs))
 	return got.bytes
+}
+
+// recvArrived is Recv's poll: it consumes the first message from src
+// carrying the awaited tag into r.got.
+func recvArrived(arg any, src int) bool {
+	r := arg.(*Rank)
+	q := r.inbox[src]
+	for i, m := range q {
+		if m.tag == r.recvTag {
+			r.got = m
+			copy(q[i:], q[i+1:])
+			r.inbox[src] = q[:len(q)-1]
+			return true
+		}
+	}
+	return false
 }
 
 // Sendrecv exchanges messages with two peers (the LAMMPS halo pattern).
@@ -112,8 +122,11 @@ func (r *Rank) Barrier() {
 		w.barGen++
 		return
 	}
-	spin.Until(r.lib, func() bool { return w.barGen != gen }, w.Yield)
+	spin.UntilFunc(r.lib, worldBarrierPassed, w, gen, w.Yield)
 }
+
+// worldBarrierPassed is Barrier's poll: the world left generation gen.
+func worldBarrierPassed(arg any, gen int) bool { return arg.(*World).barGen != gen }
 
 // Allreduce models a flat reduce+broadcast of the given payload: a
 // barrier-synchronised exchange plus the bandwidth/latency cost of moving

@@ -273,6 +273,14 @@ func (in *Instance) Yield(t *Task) {
 	}
 }
 
+// YieldWouldPark reports, without side effects, whether Yield(t) called
+// now could park t's worker: only a YieldAware policy can promise that
+// the yield re-picks t, so under any other policy the answer is true.
+func (in *Instance) YieldWouldPark(t *Task) bool {
+	ya, ok := in.policy.(YieldAware)
+	return !ok || !ya.YieldRepicks(t.prefCore, t)
+}
+
 // Complete marks the running task finished and frees its core. The worker
 // thread survives (glibcv's thread cache may rebind it to a new task).
 func (in *Instance) Complete(t *Task) {

@@ -32,8 +32,15 @@ type Policy interface {
 // been queued via Ready(t, true); if the policy returns a different task
 // it must leave the yielder queued, and if it returns the yielder it must
 // have popped it.
+//
+// YieldRepicks answers, without side effects, whether a yield by the
+// running task yielder on core would re-pick it (NextAfterYield would
+// return the yielder or nil). It may answer false when unsure, never
+// true for a yield that hands the core away: the instance relies on it
+// to know that a yield will not park.
 type YieldAware interface {
 	NextAfterYield(core int, yielder *Task) *Task
+	YieldRepicks(core int, yielder *Task) bool
 }
 
 // FIFOPolicy is the trivial built-in policy: one global FIFO, any idle

@@ -10,6 +10,18 @@
 // targeted handoffs; without Yield a spinning task can hold its core
 // forever (§4.4's documented limitation — experiments then hit their
 // timeout horizon, the paper's white squares).
+//
+// A wait parks its thread once, not once per poll. Each poll is a
+// Compute burst, and the poll that follows a burst runs as the thread's
+// resume step (sim.Proc.ParkStep) on the engine stack, inside the
+// burst's resume event: it makes exactly the calls the straight-line
+// loop would make there, in the same order (count the poll, the
+// every-other-poll sched_yield, the condition, the next burst's start),
+// so every event, counter and random draw is unchanged. The step hands
+// control back to the thread only when the condition holds or when a
+// poll's sched_yield could park, which the thread then makes itself.
+// The step is the one place where this package's code runs on the
+// engine stack, and it must never park.
 package spin
 
 import (
@@ -42,16 +54,64 @@ func chunk(i int, yield bool) sim.Duration {
 }
 
 // Until busy-waits until pred() holds, charging CPU the whole time. If
-// yield is true, a sched_yield is issued every few bursts.
+// yield is true, a sched_yield is issued every other burst. A capturing
+// pred costs one allocation per wait; UntilFunc is the allocation-free
+// form.
 func Until(l *glibc.Lib, pred func() bool, yield bool) {
-	spins := 0
-	for !pred() {
-		l.Compute(chunk(spins, yield))
-		spins++
-		if yield && spins%2 == 0 {
-			l.SchedYield()
+	UntilFunc(l, callPred, pred, 0, yield)
+}
+
+// callPred adapts Until's closure to UntilFunc's condition form.
+func callPred(arg any, _ int) bool { return arg.(func() bool)() }
+
+// UntilFunc is Until with the condition in closure-free form: it
+// busy-waits until cond(arg, n) holds. With a package-level cond and a
+// pointer arg, a wait allocates nothing.
+func UntilFunc(l *glibc.Lib, cond func(arg any, n int) bool, arg any, n int, yield bool) {
+	if cond(arg, n) {
+		return
+	}
+	w := l.SpinWait()
+	*w = glibc.SpinWait{Lib: l, Cond: cond, Arg: arg, N: n, Yield: yield}
+	l.StartCompute(chunk(0, yield))
+	for {
+		l.ParkStep(pollStep, w)
+		if w.Done || !poll(w, false) {
+			break
 		}
 	}
+	*w = glibc.SpinWait{}
+}
+
+// pollStep is the resume step of a spinning thread: one poll on the
+// engine stack. It keeps the thread parked while the next burst runs.
+func pollStep(arg any) bool { return poll(arg.(*glibc.SpinWait), true) }
+
+// poll is the loop body from a burst's end to the next burst's start,
+// shared by the resume step (inStep) and the thread itself. It reports
+// whether it started the next burst; when it did not, the wait is over
+// (w.Done) or, in a step, a sched_yield that could park is due
+// (w.YieldDue) and the thread must make it itself.
+func poll(w *glibc.SpinWait, inStep bool) bool {
+	if !w.YieldDue {
+		w.Spins++
+		w.YieldDue = w.Yield && w.Spins%2 == 0
+	}
+	if w.YieldDue {
+		if inStep && w.Lib.SchedYieldWouldPark() {
+			return false
+		}
+		w.YieldDue = false
+		w.Lib.SchedYield()
+	}
+	if w.Cond(w.Arg, w.N) {
+		w.Done = true
+		return false
+	}
+	// Bursts are never empty, so a burst always starts and the thread
+	// parks until it ends.
+	w.Lib.StartCompute(chunk(w.Spins, w.Yield))
+	return true
 }
 
 // Barrier is a centralized sense-reversing busy-wait barrier, the shape
@@ -83,6 +143,9 @@ func (b *Barrier) Wait() bool {
 		b.gen++
 		return true
 	}
-	Until(b.Lib, func() bool { return b.gen != gen }, b.Yield)
+	UntilFunc(b.Lib, barrierPassed, b, gen, b.Yield)
 	return false
 }
+
+// barrierPassed is Wait's condition: the barrier left generation gen.
+func barrierPassed(arg any, gen int) bool { return arg.(*Barrier).gen != gen }

@@ -41,7 +41,9 @@ func (s ProcState) String() string {
 // Proc is a simulated activity: a coroutine that runs only when the engine
 // hands it control, and that returns control by parking or exiting. All
 // simulated threads, interrupt handlers with complex logic, and workload
-// drivers are procs.
+// drivers are procs. A parked proc may hold a resume step (ParkStep):
+// the one place where its code runs on the engine stack instead of its
+// coroutine, and code that must never park.
 type Proc struct {
 	ID   int
 	Name string
@@ -59,6 +61,13 @@ type Proc struct {
 	state   ProcState
 	pending bool // a resume event is queued
 	killed  bool
+
+	// step, when armed by ParkStep, runs on the engine stack at each
+	// resume before any coroutine switch (see ParkStep); inStep marks
+	// that it is executing, so Park can refuse to run inside it.
+	step    func(any) bool
+	stepArg any
+	inStep  bool
 }
 
 // killSentinel unwinds a killed proc's goroutine from inside Park.
@@ -80,6 +89,10 @@ func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.ID, p.Name
 // of the engine and its procs ever runs — so the Go runtime makes no
 // ordering choices that could leak into simulation output. Everything
 // above this layer must use engine events; goleak enforces that.
+//
+// Body code runs on the coroutine stack with one exception: a resume
+// step armed by ParkStep runs on the engine stack, on the proc's behalf,
+// and must never park.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
 	p := &Proc{ID: e.nextPID, Name: name, eng: e, state: ProcCreated}
@@ -150,7 +163,35 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	e.cur = p
 	p.state = ProcRunning
+	if p.step != nil && !p.killed && e.runStep(p) {
+		p.state = ProcParked
+		e.cur = nil
+		return
+	}
 	p.next()
+}
+
+// runStep runs p's armed resume step and reports whether p stays
+// parked. A step that returns false is disarmed. A panicking step is
+// reported like a body panic, and the body is unwound as if killed, so
+// the proc exits with its deferred functions run.
+func (e *Engine) runStep(p *Proc) (stay bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicVal = fmt.Errorf("sim: panic in %v: %v\n%s", p, r, debug.Stack())
+			p.inStep = false
+			p.step, p.stepArg = nil, nil
+			p.killed = true
+			stay = false
+		}
+	}()
+	p.inStep = true
+	stay = p.step(p.stepArg)
+	p.inStep = false
+	if !stay {
+		p.step, p.stepArg = nil, nil
+	}
+	return stay
 }
 
 // Park suspends the calling proc until Ready is invoked on it. It must be
@@ -160,12 +201,36 @@ func (p *Proc) Park() {
 	if e.cur != p {
 		panic(fmt.Sprintf("sim: Park called on %v from outside its goroutine", p))
 	}
+	if p.inStep {
+		panic(fmt.Sprintf("sim: Park called inside the resume step of %v (a step must never park)", p))
+	}
 	p.state = ProcParked
 	e.cur = nil
 	p.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{})
 	}
+}
+
+// ParkStep parks the calling proc like Park, with step(arg) armed as its
+// resume step. Each time the proc is resumed, the engine first runs the
+// step on its own stack, inside the same resume event and with
+// Current() == p. If the step returns true the proc stays parked and no
+// coroutine switch happens; the next Ready resumes it, and runs the step,
+// again. When the step returns false it is disarmed and ParkStep
+// returns. This lets a proc that would otherwise park and resume many
+// times in a row (a busy-wait's poll loop) pay one coroutine switch for
+// the whole run instead of one per resume.
+//
+// The step is the one place where body code runs on the engine stack:
+// it must never park (Park panics inside it), only do what the body
+// would do between two parks. Kill skips the step, so a killed proc
+// unwinds from ParkStep exactly as from Park. step should be a
+// package-level function with its state in arg, in the AtFunc style, so
+// arming it allocates nothing.
+func (p *Proc) ParkStep(step func(any) bool, arg any) {
+	p.step, p.stepArg = step, arg
+	p.Park()
 }
 
 // Kill terminates a proc: the next time it would resume, its goroutine

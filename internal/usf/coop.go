@@ -51,6 +51,7 @@ type SchedCoop struct {
 	// queues[pid][core] is the per-process per-core FIFO of ready tasks.
 	queues  map[kernel.Pid][][]*nosv.Task
 	pending map[kernel.Pid]int
+	queued  int          // sum of pending: every queued task, any process
 	pids    []kernel.Pid // rotation ring, registration order
 
 	curPid     []kernel.Pid // per core: process currently being served
@@ -116,6 +117,7 @@ func (p *SchedCoop) Ready(t *nosv.Task, yield bool) int {
 	t.SetQueuedAt(home)
 	q[home] = append(q[home], t)
 	p.pending[t.Pid]++
+	p.queued++
 	return -1
 }
 
@@ -195,6 +197,7 @@ func (p *SchedCoop) pickFor(pid kernel.Pid, core int) *nosv.Task {
 		q[c][n] = nil
 		q[c] = q[c][:n]
 		p.pending[pid]--
+		p.queued--
 		return t
 	}
 	if p.cfg.DisableAffinity {
@@ -245,10 +248,16 @@ func (p *SchedCoop) NextAfterYield(core int, y *nosv.Task) *nosv.Task {
 		y.SetQueuedAt(home)
 		q[home] = append(q[home], y)
 		p.pending[y.Pid]++
+		p.queued++
 		return alt
 	}
 	return y
 }
+
+// YieldRepicks implements nosv.YieldAware in O(1): NextAfterYield
+// re-picks the yielder exactly when no other task is queued, because
+// Next finds any queued task from any core.
+func (p *SchedCoop) YieldRepicks(core int, y *nosv.Task) bool { return p.queued == 0 }
 
 // notePick charges the placement to the pid's quantum bookkeeping so that
 // direct idle placements also count as serving that process.
@@ -274,6 +283,7 @@ func (p *SchedCoop) Remove(t *nosv.Task) {
 			copy(q[c][i:], q[c][i+1:])
 			q[c] = q[c][:len(q[c])-1]
 			p.pending[t.Pid]--
+			p.queued--
 			return
 		}
 	}

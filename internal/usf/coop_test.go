@@ -271,3 +271,53 @@ func TestPriorityPolicyOrder(t *testing.T) {
 		t.Fatalf("order = %v, want [hi lo]", order)
 	}
 }
+
+// TestCoopYieldRepicksIsExact: before every yield, the instance's
+// side-effect-free "would this yield park" answer must match what the
+// yield then does — a self-yield exactly when SCHED_COOP reported that
+// it re-picks the yielder — and the O(1) queued counter must stay the
+// sum of the per-process counts.
+func TestCoopYieldRepicksIsExact(t *testing.T) {
+	cfg := hw.SmallNode()
+	cfg.Topo.CoresPerSocket = 2
+	eng, k, in, pol := coopStack(t, cfg, DefaultCoopConfig())
+	a, b := openProc(t, k, "a"), openProc(t, k, "b")
+	checks := 0
+	spin := func(p *kernel.Process, label string, work sim.Duration, yields int) {
+		attachRun(k, in, p, label, func(kt *kernel.Thread, task *nosv.Task) {
+			for i := 0; i < yields; i++ {
+				kt.Compute(work)
+				parks := in.YieldWouldPark(task)
+				self := in.Stats.SelfYields
+				in.Yield(task)
+				if repicked := in.Stats.SelfYields > self; repicked == parks {
+					t.Errorf("%s yield %d: YieldWouldPark %v but re-picked %v", label, i, parks, repicked)
+				}
+				sum := 0
+				for _, n := range pol.pending {
+					sum += n
+				}
+				if pol.queued != sum {
+					t.Errorf("queued %d, pending sum %d", pol.queued, sum)
+				}
+				checks++
+			}
+		})
+	}
+	// Three times as many tasks as cores, finishing at different times,
+	// so yields run both with and without queued competitors. Bursts
+	// outlast the kernel slice, so every worker gets to attach.
+	for i := 0; i < 3; i++ {
+		spin(a, "a", sim.Duration(i+1)*700*sim.Microsecond, 8+i)
+		spin(b, "b", sim.Duration(i+2)*500*sim.Microsecond, 10-i)
+	}
+	if _, err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if checks != 3*8+3+3*10-3 {
+		t.Fatalf("%d yields checked", checks)
+	}
+	if in.Stats.SelfYields == 0 || in.Stats.SelfYields == in.Stats.Yields {
+		t.Fatalf("want both kinds of yield: %d of %d were self-yields", in.Stats.SelfYields, in.Stats.Yields)
+	}
+}
