@@ -32,7 +32,20 @@
 // tables are byte-identical for any N. Each piece of cluster state has
 // a home shard: routing state, flights, request links, and the
 // end-to-end meter on shard 0; each node's meter, reply link, and
-// in-flight set on its own shard.
+// residency table on its own shard.
+//
+// # Request-path allocation
+//
+// In steady state the client → node → client attempt path allocates
+// nothing. Flights are recycled through a free list owned by the client
+// engine: a flight returns to it only when it came back from its node
+// while still open (so no cancellation message can still reach it) and
+// the request no longer holds it as its last failed attempt. Timers that
+// can outlive an attempt (retry backoff, hedge) carry the request's
+// rstate, never a flight. A recycled flight is zeroed, so a stale use
+// dies on a nil Cluster at once. Nodes index resident attempts by a
+// slot|generation handle rather than a map, and meters keep counters
+// only: every caller hands back the submission instant it already knows.
 package cluster
 
 import (
@@ -51,9 +64,14 @@ import (
 // inference.Service) that accepts routed requests and reports each
 // completion through the callback it was constructed with. Stop drains
 // it after the last completion so the engines can run dry.
+//
+// Request ids are opaque handles for one attempt's stay at the node:
+// unique only while the attempt is resident (from Submit until its
+// completion, shed, abort, or the node's crash) and reused afterwards.
+// A backend must not order, compare, or interpret them beyond equality.
 type Backend interface {
-	// Submit delivers request id to the node. Called in event context at
-	// the simulated instant the request reaches the node.
+	// Submit delivers attempt handle id to the node. Called in event
+	// context at the simulated instant the request reaches the node.
 	Submit(id int)
 	// Stop drains the backend: all resident service processes exit once
 	// in-flight work finishes.
@@ -76,23 +94,70 @@ type Node struct {
 	dispatched       int
 
 	// eng is the engine of the node's shard, where the node's state is
-	// homed: the backend, node meter, reply link, and inflight set are
-	// touched only in this engine's event context.
+	// homed: the backend, node meter, reply link, and residency table
+	// are touched only in this engine's event context.
 	eng   *sim.Engine
 	shard *pdes.Shard
 	// reg scrapes the node-homed telemetry (node meter, kernel) on the
 	// node's own engine; nil when metrics are off.
 	reg *obs.Registry
-	// inflight tracks attempts between arrival at the node and
-	// completion, keyed by attempt id.
-	inflight map[int]*flight
+	// slots is the residency table: the attempts between arrival at the
+	// node and completion (or failure), indexed by the slot half of
+	// their backend handle. freeSlots stacks the vacant slots.
+	slots     []slot
+	freeSlots []uint32
 	// dead marks the node crashed (fault layer); node-engine-owned.
 	// Arrivals at a dead node bounce straight back as failures.
 	dead bool
-	// orphans counts backend completions for unknown attempt ids
+	// orphans counts backend completions for unknown attempt handles
 	// (cancelled or crashed work finishing on backends that cannot
 	// abort); node-engine-owned, summed at Stats time.
 	orphans int
+}
+
+// slot is one residency-table entry. gen advances every time the slot
+// is vacated, so a stale handle — a late completion from a crashed
+// backend that cannot abort — never matches the attempt that has since
+// taken the slot.
+type slot struct {
+	f   *flight
+	gen uint32
+}
+
+// admit makes f resident and returns its backend handle, slot | gen<<32.
+// Node engine only.
+func (n *Node) admit(f *flight) int {
+	var s uint32
+	if k := len(n.freeSlots); k > 0 {
+		s = n.freeSlots[k-1]
+		n.freeSlots = n.freeSlots[:k-1]
+	} else {
+		s = uint32(len(n.slots))
+		n.slots = append(n.slots, slot{})
+	}
+	n.slots[s].f = f
+	f.atNode = true
+	f.bid = int(uint64(s) | uint64(n.slots[s].gen)<<32)
+	return f.bid
+}
+
+// lookup resolves a backend handle to its resident attempt, or nil when
+// the handle is unknown or stale. Node engine only.
+func (n *Node) lookup(id int) *flight {
+	s, gen := uint64(id)&(1<<32-1), uint32(uint64(id)>>32)
+	if s >= uint64(len(n.slots)) || n.slots[s].gen != gen {
+		return nil
+	}
+	return n.slots[s].f
+}
+
+// evict ends f's residency: its slot is vacated under a new generation.
+// Node engine only.
+func (n *Node) evict(f *flight) {
+	s := uint32(uint64(f.bid) & (1<<32 - 1))
+	n.slots[s] = slot{gen: n.slots[s].gen + 1}
+	n.freeSlots = append(n.freeSlots, s)
+	f.atNode = false
 }
 
 // Outstanding returns the node's dispatched-but-unreplied request count
@@ -145,20 +210,27 @@ type Config struct {
 }
 
 // flight is one attempt's routing state, reused across its network
-// hops. Under a zero RetryPolicy a request is exactly one attempt, and
-// because sources number requests in arrival order, aid == rid. Field
-// ownership is disciplined for sharded runs: rid, aid, node, hedge, and
-// c are immutable after dispatch; closed and timeoutEv are touched only
-// on the client engine; arrive, start, and done only on the node engine
-// until the reply (or failure) message hands the flight back to the
-// client, which is a causal transfer.
+// hops and, once the attempt is over, recycled for a later one (see
+// Cluster.release). Under a zero RetryPolicy a request is exactly one
+// attempt, and because sources number requests in arrival order,
+// aid == rid. Field ownership is disciplined for sharded runs: rid,
+// aid, node, hedge, and c are immutable after dispatch; closed,
+// reusable, and timeoutEv are touched only on the client engine; bid,
+// atNode, arrive, start, and done only on the node engine until the
+// reply (or failure) message hands the flight back to the client, which
+// is a causal transfer.
 type flight struct {
 	c *Cluster
-	// rid is the request id (client meter, spans, sources).
+	// rid is the request id (spans, sources).
 	rid int
-	// aid is the attempt id (node in-flight map and node meter key).
+	// aid is the attempt id: a global dispatch sequence number, the
+	// order a crash fails resident attempts in.
 	aid  int
 	node int
+	// bid is the backend handle while the attempt is resident at its
+	// node (see Node.admit); atNode marks that residency.
+	bid    int
+	atNode bool
 	// hedge marks the attempt as the hedged second copy.
 	hedge bool
 	// closed marks the attempt resolved at the client edge (reply seen,
@@ -171,6 +243,10 @@ type flight struct {
 	// being written on the node engine at the timeout instant, so span
 	// stamping must skip them to stay deterministic under sharding.
 	returned bool
+	// reusable marks a flight that came back from its node while still
+	// open: no cancellation was sent for it, so once the request lets go
+	// of it nothing else can reach it and it may be recycled.
+	reusable bool
 	// timeoutEv is the pending per-attempt deadline timer.
 	timeoutEv sim.Event
 	// arrive, start, and done buffer the node-side hop instants; the
@@ -213,6 +289,7 @@ type Cluster struct {
 	// per-node liveness view, grown by AddNode. Under a zero policy it
 	// stays idle: one attempt per request, every node live.
 	rs         []rstate
+	spare      []*flight // recycled flights, zeroed
 	hstate     []healthState
 	res        Resilience
 	nextAid    int
@@ -337,9 +414,8 @@ func (c *Cluster) AddNode(name string, sys *stack.System, newBackend func(done f
 	ni := len(c.nodes)
 	n := &Node{
 		Name: name, Sys: sys, meter: load.NewMeter(c.cfg.SLO),
-		eng:      c.NodeEngine(ni),
-		shard:    c.shards[ni%len(c.shards)],
-		inflight: make(map[int]*flight),
+		eng:   c.NodeEngine(ni),
+		shard: c.shards[ni%len(c.shards)],
 	}
 	if sys != nil && sys.Eng != n.eng {
 		// A node system built on the wrong engine would run on a foreign
@@ -355,20 +431,35 @@ func (c *Cluster) AddNode(name string, sys *stack.System, newBackend func(done f
 }
 
 // StartedFunc returns the service-start span hook for node index ni:
-// the node's backend should call it (if non-nil) with the request id at
-// the instant service begins, in the node engine's event context. Nil
-// when spans are off, so backends pay only a nil check. Valid once the
-// node has been added.
+// the node's backend should call it (if non-nil) with the attempt
+// handle at the instant service begins, in the node engine's event
+// context. Nil when spans are off, so backends pay only a nil check.
+// Valid once the node has been added.
 func (c *Cluster) StartedFunc(ni int) func(id int) {
 	if !c.cfg.Spans {
 		return nil
 	}
 	n := c.nodes[ni]
 	return func(id int) {
-		f := n.inflight[id]
-		if f != nil {
+		if f := n.lookup(id); f != nil {
 			f.start = n.eng.Now()
 		}
+	}
+}
+
+// AttemptIDFunc returns node index ni's handle → attempt-id mapping,
+// for backends that name per-request work in traces (see
+// inference.ServiceConfig.TraceID): attempt ids are stable and unique
+// per run, while backend handles are reused. Call it in the node
+// engine's event context while the attempt is resident; an unknown
+// handle maps to -1.
+func (c *Cluster) AttemptIDFunc(ni int) func(id int) int {
+	n := c.nodes[ni]
+	return func(id int) int {
+		if f := n.lookup(id); f != nil {
+			return f.aid
+		}
+		return -1
 	}
 }
 
@@ -494,7 +585,9 @@ func (c *Cluster) hop(n *Node, toNode bool, d sim.Duration, fn func(any), arg an
 // the client engine.
 func (c *Cluster) submit(id int) {
 	now := c.Eng.Now()
-	c.meter.Submitted(id, now)
+	c.meter.Submitted(now)
+	rs := &c.rs[id]
+	rs.c, rs.rid, rs.submitAt = c, id, now
 	if c.cfg.Retry.Budget != nil {
 		c.cfg.Retry.Budget.Deposit()
 	}
@@ -516,32 +609,32 @@ func deliverFlight(arg any) {
 		c.sendFail(n, f)
 		return
 	}
-	n.inflight[f.aid] = f
-	n.meter.Submitted(f.aid, now)
+	id := n.admit(f)
+	n.meter.Submitted(now)
 	f.arrive = now
-	n.backend.Submit(f.aid)
+	n.backend.Submit(id)
 }
 
 // nodeDone is the backend completion callback: meter the node-internal
 // latency and send the reply back across the link. Runs on the node's
-// engine. A completion for an unknown attempt id is cancelled or
-// crashed-away work finishing on a backend that cannot abort; it is
-// counted and discarded when the config can abandon attempts, and is a
-// bookkeeping bug — a hard panic — when it cannot.
+// engine. A completion for an unknown or stale attempt handle is
+// cancelled or crashed-away work finishing on a backend that cannot
+// abort; it is counted and discarded when the config can abandon
+// attempts, and is a bookkeeping bug — a hard panic — when it cannot.
 func (c *Cluster) nodeDone(ni, id int) {
 	n := c.nodes[ni]
 	now := n.eng.Now()
-	f := n.inflight[id]
-	if f == nil || f.node != ni {
+	f := n.lookup(id)
+	if f == nil {
 		if !c.cfg.abandons() {
 			panic(fmt.Sprintf("cluster: node %d completed unknown request %d", ni, id))
 		}
 		n.orphans++
 		return
 	}
-	n.meter.Completed(id, now)
+	n.meter.Completed(f.arrive, now)
 	f.done = now
-	delete(n.inflight, id)
+	n.evict(f)
 	d := n.repLink.delay(now, c.cfg.Net.ReplyLatency, c.cfg.Net.ReplyBytes, c.cfg.Net.LinkBandwidth)
 	c.hop(n, false, d, replyFlight, f)
 }
@@ -608,9 +701,9 @@ func (c *Cluster) abandon(horizon sim.Duration) {
 			n.reg.Stop(cutoff)
 		}
 	}
-	c.meter.FailAll(cutoff)
+	c.meter.FailAll()
 	for _, n := range c.nodes {
-		n.meter.FailAll(cutoff)
+		n.meter.FailAll()
 	}
 	if c.spans != nil {
 		for i := range c.spans {

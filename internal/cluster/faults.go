@@ -163,19 +163,19 @@ func (c *Cluster) crashNode(ni int) {
 	if fa, ok := n.backend.(FaultAware); ok {
 		fa.Crash()
 	}
-	now := n.eng.Now()
-	// Fail the in-flight attempts in ascending attempt-id order so the
+	// Fail the resident attempts in ascending attempt-id order so the
 	// failure replies are issued — and therefore delivered — in the
 	// same deterministic order for any shard count.
-	aids := make([]int, 0, len(n.inflight))
-	for aid := range n.inflight {
-		aids = append(aids, aid)
+	var resident []*flight
+	for _, sl := range n.slots {
+		if sl.f != nil {
+			resident = append(resident, sl.f)
+		}
 	}
-	sort.Ints(aids)
-	for _, aid := range aids {
-		f := n.inflight[aid]
-		delete(n.inflight, aid)
-		n.meter.Failed(aid, now)
+	sort.Slice(resident, func(i, j int) bool { return resident[i].aid < resident[j].aid })
+	for _, f := range resident {
+		n.evict(f)
+		n.meter.Failed()
 		c.sendFail(n, f)
 	}
 	c.notifyHealth(n, ni, true)

@@ -65,15 +65,22 @@ type Resilience struct {
 	// Cancelled counts attempts cancelled after their request resolved
 	// elsewhere (hedge losers).
 	Cancelled int
-	// OrphanDone counts backend completions for unknown attempt ids —
-	// cancelled or crashed work finishing on backends that cannot
-	// abort.
+	// OrphanDone counts backend completions for unknown or stale
+	// attempt handles — cancelled or crashed work finishing on backends
+	// that cannot abort.
 	OrphanDone int
 }
 
 // rstate is one request's resilience state, preallocated per request
-// at Serve. Client-engine-owned.
+// at Serve and filled in at submission. Client-engine-owned. Timers
+// that can outlive one attempt (retry backoff, hedge) carry the rstate
+// rather than a flight, since the flight may be recycled by then.
 type rstate struct {
+	c   *Cluster
+	rid int
+	// submitAt is the request's submission instant, the start of its
+	// end-to-end latency.
+	submitAt sim.Time
 	// attempts counts dispatches so far; open counts attempts currently
 	// in flight (≤ 2: primary + hedge).
 	attempts, open int
@@ -85,7 +92,10 @@ type rstate struct {
 	// one of each), so a winner can cancel its sibling.
 	primary, hedge *flight
 	// last is the most recent failed attempt, for span stamping when
-	// the request ultimately fails.
+	// the request ultimately fails. It holds a recyclable flight back
+	// from the free list until replaced or the request resolves (see
+	// setLast), because failRequest reads the flight's returned flag and
+	// hop stamps late.
 	last *flight
 }
 
@@ -230,7 +240,8 @@ func (c *Cluster) dispatch(rid int, hedge bool) {
 	n.outstanding++
 	rs.attempts++
 	rs.open++
-	f := &flight{c: c, rid: rid, aid: c.nextAid, node: ni, hedge: hedge}
+	f := c.newFlight()
+	f.c, f.rid, f.aid, f.node, f.hedge = c, rid, c.nextAid, ni, hedge
 	c.nextAid++
 	if hedge {
 		rs.hedge = f
@@ -241,7 +252,7 @@ func (c *Cluster) dispatch(rid int, hedge bool) {
 		f.timeoutEv = c.Eng.AfterFunc(c.cfg.Retry.Timeout, flightTimeout, f)
 	}
 	if !hedge && rs.attempts == 1 && c.cfg.Retry.HedgeDelay > 0 {
-		rs.hedgeEv = c.Eng.AfterFunc(c.cfg.Retry.HedgeDelay, fireHedge, f)
+		rs.hedgeEv = c.Eng.AfterFunc(c.cfg.Retry.HedgeDelay, fireHedge, rs)
 	}
 	d := n.reqLink.delay(now, c.cfg.Net.RequestLatency, c.cfg.Net.RequestBytes, c.cfg.Net.LinkBandwidth)
 	c.hop(n, true, d, deliverFlight, f)
@@ -267,15 +278,47 @@ func (c *Cluster) closeAttempt(f *flight) bool {
 	return true
 }
 
+// newFlight pops a recycled flight or allocates a fresh one. Client
+// engine only.
+func (c *Cluster) newFlight() *flight {
+	if k := len(c.spare); k > 0 {
+		f := c.spare[k-1]
+		c.spare = c.spare[:k-1]
+		return f
+	}
+	return new(flight)
+}
+
+// release zeroes a finished flight and puts it on the free list. Only
+// flights that came back from their node while still open qualify, and
+// only once the request no longer references them: a zeroed flight has
+// no Cluster, so any stale use dies at once instead of reading another
+// request's attempt. Client engine only.
+func (c *Cluster) release(f *flight) {
+	*f = flight{}
+	c.spare = append(c.spare, f)
+}
+
+// setLast makes f (nil when the request resolves) the request's most
+// recent failed attempt, recycling the previous one if nothing else can
+// reach it. Client engine only.
+func (c *Cluster) setLast(rs *rstate, f *flight) {
+	if g := rs.last; g != nil && g.reusable {
+		c.release(g)
+	}
+	rs.last = f
+}
+
 // fireHedge issues the hedge attempt if the primary is still pending.
+// The hedge timer is cancelled whenever the first attempt closes with
+// no sibling, so an open primary here is always the first attempt.
 func fireHedge(arg any) {
-	f := arg.(*flight) // the primary attempt
-	c := f.c
-	if f.closed || c.rs[f.rid].done {
+	rs := arg.(*rstate)
+	if rs.primary == nil || rs.done {
 		return
 	}
-	c.res.Hedges++
-	c.dispatch(f.rid, true)
+	rs.c.res.Hedges++
+	rs.c.dispatch(rs.rid, true)
 }
 
 // flightTimeout abandons an attempt at its deadline: the node is asked
@@ -303,6 +346,7 @@ func failFlight(arg any) {
 	if !c.closeAttempt(f) {
 		return // already timed out or cancelled locally
 	}
+	f.reusable = true
 	now := c.Eng.Now()
 	c.recordFailure(f.node)
 	c.attemptFailed(f, now, obs.OutcomeFailed)
@@ -314,9 +358,12 @@ func failFlight(arg any) {
 func (c *Cluster) attemptFailed(f *flight, now sim.Time, outcome string) {
 	rs := &c.rs[f.rid]
 	if rs.done {
+		if f.reusable {
+			c.release(f)
+		}
 		return
 	}
-	rs.last = f
+	c.setLast(rs, f)
 	if rs.open > 0 {
 		return // a sibling (hedge) attempt is still in flight
 	}
@@ -333,16 +380,16 @@ func (c *Cluster) attemptFailed(f *flight, now sim.Time, outcome string) {
 	}
 	c.res.Retries++
 	delay := p.Backoff(rs.attempts, c.retryRNG())
-	c.Eng.AfterFunc(delay, redispatch, f)
+	c.Eng.AfterFunc(delay, redispatch, rs)
 }
 
 // redispatch fires after a retry backoff.
 func redispatch(arg any) {
-	f := arg.(*flight)
-	if f.c.rs[f.rid].done {
+	rs := arg.(*rstate)
+	if rs.done {
 		return
 	}
-	f.c.dispatch(f.rid, false)
+	rs.c.dispatch(rs.rid, false)
 }
 
 // retryRNG returns the labelled client-engine stream backoff jitter
@@ -372,16 +419,17 @@ func (c *Cluster) cancelAtNodeLater(f *flight) {
 
 // cancelAtNode abandons one attempt at its node, if the backend can.
 // Runs on the node's engine. Backends that cannot abort finish the work
-// and reply; the client edge discards the late reply.
+// and reply; the client edge discards the late reply. A cancelled
+// flight is never recycled, so its atNode flag is still its own.
 func cancelAtNode(arg any) {
 	f := arg.(*flight)
-	n := f.c.nodes[f.node]
-	if n.inflight[f.aid] != f {
-		return // already completed, crashed away, or bounced
+	if !f.atNode {
+		return // not yet arrived, already completed, crashed away, or bounced
 	}
-	if ab, ok := n.backend.(abortable); ok && ab.Abort(f.aid) {
-		delete(n.inflight, f.aid)
-		n.meter.Failed(f.aid, n.eng.Now())
+	n := f.c.nodes[f.node]
+	if ab, ok := n.backend.(abortable); ok && ab.Abort(f.bid) {
+		n.evict(f)
+		n.meter.Failed()
 	}
 }
 
@@ -396,7 +444,7 @@ func (c *Cluster) failRequest(rid int, now sim.Time, outcome string) {
 	rs.hedgeEv.Cancel()
 	c.res.Failed++
 	c.failedReqs++
-	c.meter.Failed(rid, now)
+	c.meter.Failed()
 	if c.spans != nil {
 		sp := &c.spans[rid]
 		sp.Outcome = outcome
@@ -411,6 +459,7 @@ func (c *Cluster) failRequest(rid int, now sim.Time, outcome string) {
 			}
 		}
 	}
+	c.setLast(rs, nil)
 	c.src.Completed(rid)
 	c.maybeFinish(now)
 }
@@ -418,7 +467,9 @@ func (c *Cluster) failRequest(rid int, now sim.Time, outcome string) {
 // replyFlight is a reply's arrival back at the client edge: the first
 // reply wins the request, siblings are cancelled, late replies are
 // discarded, and after the final resolution the fleet drains. Runs on
-// the client engine.
+// the client engine. A reply that finds its attempt still open returns
+// the flight to the free list; a late one does not, since a
+// cancellation message may still reference it.
 func replyFlight(arg any) {
 	f := arg.(*flight)
 	c := f.c
@@ -429,13 +480,15 @@ func replyFlight(arg any) {
 	}
 	c.closeAttempt(f)
 	c.recordSuccess(f.node)
-	rs := &c.rs[f.rid]
+	rid := f.rid
+	rs := &c.rs[rid]
 	if rs.done {
+		c.release(f)
 		return
 	}
 	rs.done = true
 	rs.hedgeEv.Cancel()
-	c.meter.Completed(f.rid, now)
+	c.meter.Completed(rs.submitAt, now)
 	c.completed++
 	if f.hedge {
 		c.res.HedgeWins++
@@ -455,7 +508,9 @@ func replyFlight(arg any) {
 	if g := rs.hedge; g != nil {
 		c.cancelAttempt(g)
 	}
-	c.src.Completed(f.rid)
+	c.setLast(rs, nil)
+	c.release(f)
+	c.src.Completed(rid)
 	c.maybeFinish(now)
 }
 

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 )
 
@@ -47,12 +45,13 @@ type SimService struct {
 	started func(id int)
 
 	busy     int
-	queue    []int
+	queue    fifo
 	slowdown float64
 	dead     bool
-	// timers holds the completion timer per in-service attempt so
-	// crashes and aborts can cancel the work.
-	timers map[int]sim.Event
+	// jobs holds one completion record per worker, preallocated and
+	// reused: a record whose timer is pending is the worker serving
+	// that attempt, so crashes and aborts can cancel the work.
+	jobs []svcDone
 	// shedCount and aborted count queue-full refusals and cancelled
 	// attempts.
 	shedCount int
@@ -68,21 +67,27 @@ func newSimService(eng *sim.Engine, name string, cfg SimServiceConfig, done, fai
 	if cfg.MeanService <= 0 {
 		cfg.MeanService = sim.Millisecond
 	}
-	return &SimService{
+	s := &SimService{
 		eng:      eng,
 		rng:      eng.Rand("cluster/simsvc/" + name),
 		cfg:      cfg,
 		done:     done,
 		fail:     fail,
 		slowdown: 1,
-		timers:   make(map[int]sim.Event),
+		jobs:     make([]svcDone, cfg.Workers),
 	}
+	for w := range s.jobs {
+		s.jobs[w].s = s
+	}
+	return s
 }
 
-// svcDone carries one completion timer's target.
+// svcDone is one worker's completion record: the attempt in service and
+// its completion timer (the timer's arg is the record itself).
 type svcDone struct {
 	s  *SimService
 	id int
+	ev sim.Event
 }
 
 // Submit implements Backend: start service if a worker is free, queue
@@ -97,12 +102,12 @@ func (s *SimService) Submit(id int) {
 		s.start(id)
 		return
 	}
-	if s.cfg.QueueCap > 0 && len(s.queue) >= s.cfg.QueueCap {
+	if s.cfg.QueueCap > 0 && s.queue.n >= s.cfg.QueueCap {
 		s.shedCount++
 		s.fail(id)
 		return
 	}
-	s.queue = append(s.queue, id)
+	s.queue.push(id)
 }
 
 // start begins service on id: one exponential service-time draw,
@@ -118,27 +123,37 @@ func (s *SimService) start(id int) {
 	} else {
 		d++
 	}
-	s.timers[id] = s.eng.AfterFunc(d, fireSvcDone, &svcDone{s: s, id: id})
+	j := s.idleJob()
+	j.id = id
+	j.ev = s.eng.AfterFunc(d, fireSvcDone, j)
+}
+
+// idleJob returns the completion record of a free worker (one exists
+// whenever busy < Workers).
+func (s *SimService) idleJob() *svcDone {
+	for w := range s.jobs {
+		if !s.jobs[w].ev.Active() {
+			return &s.jobs[w]
+		}
+	}
+	panic("cluster: SimService has no idle worker")
 }
 
 // fireSvcDone completes one in-service attempt.
 func fireSvcDone(arg any) {
-	sd := arg.(*svcDone)
-	s := sd.s
-	delete(s.timers, sd.id)
+	j := arg.(*svcDone)
+	s := j.s
 	s.busy--
-	s.done(sd.id)
+	s.done(j.id)
 	s.next()
 }
 
 // next dispatches the oldest queued attempt if a worker is free.
 func (s *SimService) next() {
-	if s.dead || s.busy >= s.cfg.Workers || len(s.queue) == 0 {
+	if s.dead || s.busy >= s.cfg.Workers || s.queue.n == 0 {
 		return
 	}
-	id := s.queue[0]
-	s.queue = s.queue[1:]
-	s.start(id)
+	s.start(s.queue.pop())
 }
 
 // Stop implements Backend: discard remaining internal state so the
@@ -146,7 +161,7 @@ func (s *SimService) next() {
 // already resolved or been failed by the cluster).
 func (s *SimService) Stop() {
 	s.cancelAllTimers()
-	s.queue = nil
+	s.queue.reset()
 	s.busy = 0
 }
 
@@ -156,7 +171,7 @@ func (s *SimService) Stop() {
 func (s *SimService) Crash() {
 	s.dead = true
 	s.cancelAllTimers()
-	s.queue = s.queue[:0]
+	s.queue.reset()
 	s.busy = 0
 }
 
@@ -176,38 +191,28 @@ func (s *SimService) SetSlowdown(factor float64) {
 
 // Abort implements abortable: drop one attempt, wherever it is.
 func (s *SimService) Abort(id int) bool {
-	if ev, ok := s.timers[id]; ok {
-		ev.Cancel()
-		delete(s.timers, id)
-		s.busy--
-		s.aborted++
-		s.next()
-		return true
-	}
-	for i, q := range s.queue {
-		if q == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+	for w := range s.jobs {
+		if j := &s.jobs[w]; j.id == id && j.ev.Active() {
+			j.ev.Cancel()
+			s.busy--
 			s.aborted++
+			s.next()
 			return true
 		}
+	}
+	if s.queue.remove(id) {
+		s.aborted++
+		return true
 	}
 	return false
 }
 
-// cancelAllTimers cancels every in-service completion timer, in id
-// order so cancellation order is deterministic.
+// cancelAllTimers cancels every in-service completion timer. Engine
+// events are ordered by (instant, schedule sequence), so the order of
+// cancellation leaves the timeline untouched.
 func (s *SimService) cancelAllTimers() {
-	if len(s.timers) == 0 {
-		return
-	}
-	ids := make([]int, 0, len(s.timers))
-	for id := range s.timers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		s.timers[id].Cancel()
-		delete(s.timers, id)
+	for w := range s.jobs {
+		s.jobs[w].ev.Cancel()
 	}
 }
 
@@ -218,7 +223,55 @@ func (s *SimService) Shed() int { return s.shedCount }
 func (s *SimService) Aborted() int { return s.aborted }
 
 // QueueLen returns the current wait-queue depth.
-func (s *SimService) QueueLen() int { return len(s.queue) }
+func (s *SimService) QueueLen() int { return s.queue.n }
+
+// fifo is a ring-buffer FIFO of attempt handles. Its storage is reused
+// as the queue drains and refills, so a long run stops allocating once
+// the ring has grown to the deepest backlog.
+type fifo struct {
+	buf     []int
+	head, n int
+}
+
+func (q *fifo) push(id int) {
+	if q.n == len(q.buf) {
+		grown := make([]int, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = id
+	q.n++
+}
+
+func (q *fifo) pop() int {
+	id := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return id
+}
+
+// at returns the i-th queued handle, oldest first.
+func (q *fifo) at(i int) int { return q.buf[(q.head+i)%len(q.buf)] }
+
+// remove drops the first occurrence of id, keeping the others in order,
+// and reports whether it was queued.
+func (q *fifo) remove(id int) bool {
+	for i := 0; i < q.n; i++ {
+		if q.at(i) != id {
+			continue
+		}
+		for ; i < q.n-1; i++ {
+			q.buf[(q.head+i)%len(q.buf)] = q.at(i + 1)
+		}
+		q.n--
+		return true
+	}
+	return false
+}
+
+func (q *fifo) reset() { q.head, q.n = 0, 0 }
 
 // AddSimNode registers a SimService-backed node (no stack.System): the
 // fast path for fault-injection fleets. The returned service backs the
@@ -238,14 +291,13 @@ func (c *Cluster) AddSimNode(name string, scfg SimServiceConfig) *SimService {
 // nodeFail is the node-side failure callback (queue shed): the attempt
 // leaves the node and a failure reply heads back to the client. Runs on
 // the node's engine.
-func (c *Cluster) nodeFail(ni, aid int) {
+func (c *Cluster) nodeFail(ni, id int) {
 	n := c.nodes[ni]
-	f := n.inflight[aid]
+	f := n.lookup(id)
 	if f == nil {
 		return
 	}
-	delete(n.inflight, aid)
-	now := n.eng.Now()
-	n.meter.Failed(aid, now)
+	n.evict(f)
+	n.meter.Failed()
 	c.sendFail(n, f)
 }

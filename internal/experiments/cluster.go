@@ -238,6 +238,7 @@ func runClusterCell(cfg ClusterConfig, shape TailShape, scheme TailScheme, route
 				Scale:   cfg.Scale,
 				Models:  cfg.Models,
 				Started: cl.StartedFunc(i),
+				TraceID: cl.AttemptIDFunc(i),
 			}, done)
 			if err != nil {
 				panic(err)

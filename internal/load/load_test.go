@@ -228,7 +228,7 @@ func TestMeterStatsAndSLO(t *testing.T) {
 	// 10 requests back to back; latencies 10ms..190ms in 20ms steps: 5
 	// meet the 100ms SLO, 5 violate it.
 	for i := 0; i < 10; i++ {
-		m.Submitted(i, sim.Time(i)*sim.Time(sim.Millisecond))
+		m.Submitted(sim.Time(i) * sim.Time(sim.Millisecond))
 	}
 	if m.InFlight() != 10 {
 		t.Fatalf("in flight = %d", m.InFlight())
@@ -236,7 +236,7 @@ func TestMeterStatsAndSLO(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sub := sim.Time(i) * sim.Time(sim.Millisecond)
 		lat := sim.Duration(10+20*i) * sim.Millisecond
-		if got := m.Completed(i, sub.Add(lat)); got != lat {
+		if got := m.Completed(sub, sub.Add(lat)); got != lat {
 			t.Fatalf("latency %v, want %v", got, lat)
 		}
 	}
@@ -262,22 +262,46 @@ func TestMeterStatsAndSLO(t *testing.T) {
 	}
 }
 
-func TestMeterEmptyAndUnknownCompletion(t *testing.T) {
+func TestMeterEmptyAndSLODisabled(t *testing.T) {
 	m := NewMeter(0)
 	st := m.Stats()
 	if st.Completed != 0 || st.Throughput != 0 || !st.MeetsSLO(0) {
 		t.Fatalf("empty meter stats %+v", st)
 	}
-	// Completing an unknown id records a zero-latency completion rather
-	// than panicking.
-	if lat := m.Completed(42, 100); lat != 0 {
-		t.Fatalf("unknown completion latency %v", lat)
-	}
 	// SLO 0 disables violation accounting.
-	m.Submitted(1, 0)
-	m.Completed(1, sim.Time(sim.Second))
+	m.Submitted(0)
+	m.Completed(0, sim.Time(sim.Second))
 	if st := m.Stats(); st.Violations != 0 || st.Goodput != st.Throughput {
 		t.Fatalf("SLO-disabled stats %+v", st)
+	}
+}
+
+func TestMeterFailAllFailsInFlight(t *testing.T) {
+	// FailAll fails exactly the requests still in flight — not the
+	// completed or already-failed ones — and snapshots track the
+	// in-flight count through every transition.
+	m := NewMeter(0)
+	for i := 0; i < 6; i++ {
+		m.Submitted(sim.Time(i))
+	}
+	m.Completed(0, 10)
+	m.Failed()
+	if snap := m.Snapshot(10); snap.InFlight != 4 || m.InFlight() != 4 {
+		t.Fatalf("in flight after 1 completion + 1 failure: snapshot %d, meter %d, want 4",
+			snap.InFlight, m.InFlight())
+	}
+	m.FailAll()
+	st := m.Stats()
+	if st.Offered != 6 || st.Completed != 1 || st.Failed != 5 || m.FailedCount() != 5 {
+		t.Fatalf("after FailAll: %+v, want 6 offered, 1 completed, 5 failed", st)
+	}
+	if snap := m.Snapshot(20); snap.InFlight != 0 || m.InFlight() != 0 {
+		t.Fatalf("in flight after FailAll: snapshot %d, meter %d", snap.InFlight, m.InFlight())
+	}
+	// With nothing in flight FailAll changes nothing.
+	m.FailAll()
+	if m.Stats() != st {
+		t.Fatalf("second FailAll changed stats: %+v vs %+v", m.Stats(), st)
 	}
 }
 
@@ -352,15 +376,15 @@ func TestMeterSnapshotDoesNotPerturb(t *testing.T) {
 	snapped := NewMeter(100 * sim.Millisecond)
 	for i := 0; i < 20; i++ {
 		at := sim.Time(i) * sim.Time(sim.Millisecond)
-		plain.Submitted(i, at)
-		snapped.Submitted(i, at)
+		plain.Submitted(at)
+		snapped.Submitted(at)
 		snapped.Snapshot(at)
 	}
 	for i := 0; i < 20; i++ {
 		sub := sim.Time(i) * sim.Time(sim.Millisecond)
 		done := sub.Add(sim.Duration(10+13*i) * sim.Millisecond)
-		plain.Completed(i, done)
-		snapped.Completed(i, done)
+		plain.Completed(sub, done)
+		snapped.Completed(sub, done)
 		snap := snapped.Snapshot(done)
 		if snap.Completed != i+1 || snap.At != done {
 			t.Fatalf("snapshot %d: %+v", i, snap)
@@ -373,8 +397,8 @@ func TestMeterSnapshotDoesNotPerturb(t *testing.T) {
 	// The snapshot's sketch is a value copy: quantiles diffed between
 	// two snapshots cover exactly the interleaved completions.
 	a := snapped.Snapshot(0)
-	snapped.Submitted(100, 0)
-	snapped.Completed(100, sim.Time(500*sim.Millisecond))
+	snapped.Submitted(0)
+	snapped.Completed(0, sim.Time(500*sim.Millisecond))
 	b := snapped.Snapshot(sim.Time(500 * sim.Millisecond))
 	if q := b.Sketch.QuantileSince(&a.Sketch, 0.5); q < 400*sim.Millisecond {
 		t.Fatalf("windowed quantile %v does not reflect the 500ms completion", q)

@@ -1,8 +1,6 @@
 package load
 
 import (
-	"sort"
-
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -10,16 +8,17 @@ import (
 // Meter does streaming latency accounting for a served workload:
 // submissions and completions are recorded as they happen, latencies
 // feed a fixed-memory quantile sketch (metrics.Sketch), and completions
-// are judged against an optional SLO. Nothing is retained per request
-// beyond the in-flight submission times, so the meter scales to
-// arbitrarily long runs.
+// are judged against an optional SLO. Nothing is retained per request:
+// the caller already knows each request's submission instant and hands
+// it back at completion, so the meter is a handful of counters plus the
+// sketch and scales to arbitrarily long runs.
 type Meter struct {
 	// SLO is the latency objective; completions above it count as
 	// violations. Zero disables SLO accounting (goodput == throughput).
 	SLO sim.Duration
 
 	sketch       metrics.Sketch
-	inflight     map[int]sim.Time
+	inflight     int
 	submitted    int
 	completed    int
 	failed       int
@@ -30,27 +29,24 @@ type Meter struct {
 
 // NewMeter returns a meter judging completions against slo (0 = none).
 func NewMeter(slo sim.Duration) *Meter {
-	return &Meter{SLO: slo, inflight: make(map[int]sim.Time)}
+	return &Meter{SLO: slo}
 }
 
-// Submitted records the arrival of request id at time t.
-func (m *Meter) Submitted(id int, t sim.Time) {
+// Submitted records the arrival of one request at time t. Each
+// submission must later be resolved by exactly one Completed or Failed
+// (or by FailAll).
+func (m *Meter) Submitted(t sim.Time) {
 	if m.submitted == 0 || t < m.firstSubmit {
 		m.firstSubmit = t
 	}
 	m.submitted++
-	m.inflight[id] = t
+	m.inflight++
 }
 
-// Completed records the completion of request id at time t and returns
-// its latency. Completing an id that was never submitted records a
-// zero-latency completion.
-func (m *Meter) Completed(id int, t sim.Time) sim.Duration {
-	start, ok := m.inflight[id]
-	if !ok {
-		start = t
-	}
-	delete(m.inflight, id)
+// Completed records the completion at time t of a request submitted at
+// start and returns its latency.
+func (m *Meter) Completed(start, t sim.Time) sim.Duration {
+	m.inflight--
 	lat := t.Sub(start)
 	m.sketch.Add(lat)
 	m.completed++
@@ -63,41 +59,25 @@ func (m *Meter) Completed(id int, t sim.Time) sim.Duration {
 	return lat
 }
 
-// Failed records that request id will never complete (node crash,
-// deadline exceeded, retry budget exhausted, shed). The request leaves
-// the in-flight set and counts as failed; no latency sample is
+// Failed records that one in-flight request will never complete (node
+// crash, deadline exceeded, retry budget exhausted, shed). It leaves
+// the in-flight count and counts as failed; no latency sample is
 // recorded, so percentiles and goodput describe served work only.
-// Failing an id that was never submitted (or already resolved) is a
-// no-op.
-func (m *Meter) Failed(id int, t sim.Time) {
-	_ = t
-	if _, ok := m.inflight[id]; !ok {
-		return
-	}
-	delete(m.inflight, id)
+func (m *Meter) Failed() {
+	m.inflight--
 	m.failed++
 }
 
-// FailAll fails every in-flight request at time t, in ascending id
-// order so the operation is deterministic. Used when a run is abandoned
+// FailAll fails every in-flight request. Used when a run is abandoned
 // at its horizon: the meter ends in a well-defined state instead of
-// carrying phantom in-flight entries.
-func (m *Meter) FailAll(t sim.Time) {
-	if len(m.inflight) == 0 {
-		return
-	}
-	ids := make([]int, 0, len(m.inflight))
-	for id := range m.inflight {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		m.Failed(id, t)
-	}
+// carrying phantom in-flight requests.
+func (m *Meter) FailAll() {
+	m.failed += m.inflight
+	m.inflight = 0
 }
 
-// InFlight returns the number of submitted-but-uncompleted requests.
-func (m *Meter) InFlight() int { return len(m.inflight) }
+// InFlight returns the number of submitted-but-unresolved requests.
+func (m *Meter) InFlight() int { return m.inflight }
 
 // FailedCount returns how many requests were recorded as failed.
 func (m *Meter) FailedCount() int { return m.failed }
@@ -124,7 +104,7 @@ type MeterSnapshot struct {
 func (m *Meter) Snapshot(at sim.Time) MeterSnapshot {
 	return MeterSnapshot{
 		At:         at,
-		InFlight:   len(m.inflight),
+		InFlight:   m.inflight,
 		Submitted:  m.submitted,
 		Completed:  m.completed,
 		Violations: m.violations,

@@ -153,7 +153,10 @@ type Result struct {
 }
 
 type request struct {
-	id     int
+	id int
+	// tag is the number traced thread names carry: the id itself, or
+	// the attempt id behind a cluster backend handle (ServiceConfig.TraceID).
+	tag    int
 	sentAt sim.Time
 	resp   *glibc.Chan
 }
@@ -235,7 +238,7 @@ func startServer(sys *stack.System, mode stack.Mode, m Model, opts glibc.Options
 			}
 			name := reqName
 			if tracer != nil {
-				name = fmt.Sprintf("%s-req%d", m.Name, req.id)
+				name = fmt.Sprintf("%s-req%d", m.Name, req.tag)
 			}
 			handlers = append(handlers, l.PthreadCreate(
 				name, func() {
@@ -342,7 +345,7 @@ func Run(cfg Config) Result {
 			req := gwIn.Recv().(*request)
 			name := "gw-req"
 			if cfg.Tracer != nil {
-				name = fmt.Sprintf("gw-req%d", req.id)
+				name = fmt.Sprintf("gw-req%d", req.tag)
 			}
 			handlers = append(handlers, l.PthreadCreate(
 				name, func() {
@@ -352,7 +355,7 @@ func Run(cfg Config) Result {
 						ID: req.id, Submitted: req.sentAt, Completed: now,
 					})
 					completed++
-					meter.Completed(req.id, now)
+					meter.Completed(req.sentAt, now)
 					admit.Done()
 					src.Completed(req.id)
 					if reg != nil && completed == cfg.Requests {
@@ -373,8 +376,8 @@ func Run(cfg Config) Result {
 	// Poisson generator; latency covers admission queueing, so sentAt is
 	// the arrival instant, not the dispatch instant.
 	src.Start(sys.Eng, sys.Rand("client"), cfg.Requests, func(id int) {
-		req := &request{id: id, sentAt: sys.Eng.Now(), resp: glibc.NewChan(k)}
-		meter.Submitted(id, req.sentAt)
+		req := &request{id: id, tag: id, sentAt: sys.Eng.Now(), resp: glibc.NewChan(k)}
+		meter.Submitted(req.sentAt)
 		admit.Admit(func() { gwIn.Send(req) })
 	})
 

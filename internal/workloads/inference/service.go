@@ -28,6 +28,12 @@ type ServiceConfig struct {
 	// any planning or fan-out — so span records can separate node-side
 	// queueing from service time. Nil (the default) costs nothing.
 	Started func(id int)
+	// TraceID, when non-nil, maps a submitted request id to the number
+	// traced thread names carry ("gw-req<n>"). The cluster passes opaque
+	// per-attempt handles as ids and supplies Cluster.AttemptIDFunc here,
+	// so traces name each handler by its attempt. Nil names threads by
+	// the id itself. Consulted only when the node's kernel is traced.
+	TraceID func(id int) int
 }
 
 // Service is a running microservice stack on one simulated machine: the
@@ -41,9 +47,10 @@ type ServiceConfig struct {
 // request trains the scenarios serve; an open-ended service would want
 // incremental reaping.
 type Service struct {
-	sys  *stack.System
-	gwIn *glibc.Chan
-	done func(id int)
+	sys     *stack.System
+	gwIn    *glibc.Chan
+	done    func(id int)
+	traceID func(id int) int
 }
 
 // NewService wires a persistent gateway + servers on sys. done(id) is
@@ -69,7 +76,7 @@ func NewService(sys *stack.System, cfg ServiceConfig, done func(id int)) (*Servi
 	k := sys.K
 	cores := k.NumCores()
 
-	s := &Service{sys: sys, gwIn: glibc.NewChan(k), done: done}
+	s := &Service{sys: sys, gwIn: glibc.NewChan(k), done: done, traceID: cfg.TraceID}
 	serverIn := make([]*glibc.Chan, len(cfg.Models))
 	for i := range serverIn {
 		serverIn[i] = glibc.NewChan(k)
@@ -104,7 +111,7 @@ func NewService(sys *stack.System, cfg ServiceConfig, done func(id int)) (*Servi
 			}
 			name := "gw-req"
 			if k.Tracer != nil {
-				name = fmt.Sprintf("gw-req%d", req.id)
+				name = fmt.Sprintf("gw-req%d", req.tag)
 			}
 			handlers = append(handlers, l.PthreadCreate(
 				name, func() {
@@ -132,7 +139,11 @@ func NewService(sys *stack.System, cfg ServiceConfig, done func(id int)) (*Servi
 // context (the cluster's network-delivery events) or from a simulated
 // thread.
 func (s *Service) Submit(id int) {
-	s.gwIn.Send(&request{id: id, resp: glibc.NewChan(s.sys.K)})
+	tag := id
+	if s.traceID != nil && s.sys.K.Tracer != nil {
+		tag = s.traceID(id)
+	}
+	s.gwIn.Send(&request{id: id, tag: tag, resp: glibc.NewChan(s.sys.K)})
 }
 
 // Stop drains the service: the gateway finishes every in-flight
