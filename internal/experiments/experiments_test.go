@@ -381,3 +381,17 @@ func TestClusterShardsMatchSharedEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperCellsReportEvents checks that the matmul, Cholesky and
+// LAMMPS cells report the engine events they fired, as the Fig. 4
+// cells always have, so events-per-second profiling covers every paper
+// family.
+func TestPaperCellsReportEvents(t *testing.T) {
+	fig3 := QuickFigure3()
+	fig3.TaskSizes, fig3.OMPThreads = []int{1024}, []int{2}
+	for _, jobs := range [][]harness.Job{Figure3Jobs(fig3), Table2Jobs(QuickTable2()), Figure5Jobs(QuickFigure5())} {
+		if got := harness.Run(jobs[:1], 1)[0].Metric.Events; got <= 0 {
+			t.Errorf("cell %s reports %d events, want > 0", jobs[0].Name, got)
+		}
+	}
+}

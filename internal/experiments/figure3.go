@@ -87,6 +87,7 @@ func Figure3Jobs(cfg Figure3Config) []harness.Job {
 				jobs = append(jobs, harness.Job{
 					Name: fmt.Sprintf("%s/tasks%d/omp%d", mode, ts, th),
 					Run: func() harness.Output {
+						var events int64
 						res := matmul.Run(matmul.Config{
 							Machine:    cfg.Machine,
 							Mode:       mode,
@@ -96,11 +97,13 @@ func Figure3Jobs(cfg Figure3Config) []harness.Job {
 							Reps:       cfg.Reps,
 							Horizon:    cfg.Horizon,
 							Seed:       cfg.Seed,
+							Events:     &events,
 						})
 						return harness.Output{
 							Value:    Figure3Cell{TaskSize: ts, OMPThreads: th, Result: res},
 							SimTime:  res.Elapsed,
 							TimedOut: res.TimedOut,
+							Events:   events,
 						}
 					},
 				})

@@ -84,11 +84,15 @@ func Figure5Jobs(cfg Figure5Config) []harness.Job {
 		jobs = append(jobs, harness.Job{
 			Name: s.String(),
 			Run: func() harness.Output {
+				var events int64
+				c := c
+				c.Events = &events
 				res := md.Run(c)
 				return harness.Output{
 					Value:    Figure5Entry{Scenario: s, Result: res},
 					SimTime:  res.Elapsed,
 					TimedOut: res.TimedOut,
+					Events:   events,
 				}
 			},
 		})

@@ -123,6 +123,7 @@ func Table2Jobs(cfg Table2Config) []harness.Job {
 				jobs = append(jobs, harness.Job{
 					Name: fmt.Sprintf("%s-%s-%s/%s/%s", combo.Outer, combo.Inner, implName(combo.Impl), deg.Name, mode),
 					Run: func() harness.Output {
+						var events int64
 						res := cholesky.Run(cholesky.Config{
 							Machine:      cfg.Machine,
 							Mode:         mode,
@@ -135,8 +136,9 @@ func Table2Jobs(cfg Table2Config) []harness.Job {
 							InnerThreads: deg.InnerThreads,
 							Horizon:      cfg.Horizon,
 							Seed:         cfg.Seed,
+							Events:       &events,
 						})
-						return harness.Output{Value: res, SimTime: res.Elapsed, TimedOut: res.TimedOut}
+						return harness.Output{Value: res, SimTime: res.Elapsed, TimedOut: res.TimedOut, Events: events}
 					},
 				})
 			}

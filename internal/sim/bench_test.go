@@ -1,8 +1,9 @@
 // Engine microbenchmarks isolating the discrete-event hot paths the
 // end-to-end figure benchmarks sit on: timer churn (schedule + fire),
 // cancel-heavy timer traffic (futex timeouts, slice renewals), the
-// proc park/resume ping-pong behind every simulated context switch, and
-// the proc lifecycle (spawn to exit) behind every simulated thread.
+// chaos sweep's grid-aligned timer storm, the proc park/resume
+// ping-pong behind every simulated context switch, and the proc
+// lifecycle (spawn to exit) behind every simulated thread.
 // All report allocations: the pooled closure-free paths are expected to
 // allocate nothing in steady state.
 package sim
@@ -208,4 +209,101 @@ func BenchmarkProcSleep(b *testing.B) {
 	if _, err := e.RunAll(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// stormTimer is one standing timer of BenchmarkGridStorm.
+type stormTimer struct {
+	s *gridStorm
+	h Event
+}
+
+// gridStorm is the chaos workload's timer shape: a standing population
+// of grid-aligned timers that re-arm as they fire, a quarter of them
+// cancelled before they fire (a reply beating its deadline).
+type gridStorm struct {
+	e      *Engine
+	timers []stormTimer
+	rng    uint64
+	prev   *stormTimer // the timer that fired last
+	fires  int
+	target int
+	slots  int  // distinct firing instants, one per drained level-0 slot
+	last   Time // instant of the previous fire
+}
+
+// delay draws a grid-aligned delay: seven in eight within level 0's
+// 2ms horizon, the rest at level 1 (2-134ms) or level 2 (134-336ms),
+// about 600 slots on average.
+func (s *gridStorm) delay() Duration {
+	s.rng ^= s.rng << 13
+	s.rng ^= s.rng >> 7
+	s.rng ^= s.rng << 17
+	r := s.rng >> 32
+	var ticks uint64
+	switch {
+	case r%8 < 7:
+		ticks = 1 + r>>3%wheelSlots
+	case r%16 == 7:
+		ticks = wheelSlots + r>>4%(wheelSlots*wheelSlots-wheelSlots)
+	default:
+		ticks = wheelSlots*wheelSlots + r>>4%(wheelSlots*wheelSlots*3/2)
+	}
+	return Duration(ticks << wheelShift)
+}
+
+func (s *gridStorm) arm(t *stormTimer) {
+	t.h = s.e.AfterFunc(s.delay(), stormFire, t)
+}
+
+// stormFire re-arms the fired timer, and every third fire cancels the
+// previous fire's fresh timer and arms it again, so one armed timer in
+// four is cancelled before it fires.
+func stormFire(arg any) {
+	t := arg.(*stormTimer)
+	s := t.s
+	if now := s.e.Now(); now != s.last {
+		s.last = now
+		s.slots++
+	}
+	s.arm(t)
+	if s.fires%3 == 0 && s.prev != nil {
+		s.prev.h.Cancel()
+		s.arm(s.prev)
+	}
+	s.prev = t
+	s.fires++
+	if s.fires == s.target {
+		s.e.Stop()
+	}
+}
+
+// BenchmarkGridStorm models the chaos sweep's engine traffic: about
+// 1500 standing grid-aligned timers across wheel levels 0-2, about 2.7
+// fires per drained level-0 slot, and one armed timer in four
+// cancelled before it fires. One op is one fired event, so ns/op is ns
+// per event; the events/slot metric reports the achieved density.
+func BenchmarkGridStorm(b *testing.B) {
+	s := &gridStorm{e: NewEngine(1), timers: make([]stormTimer, 1500), rng: 88172645463325252}
+	for i := range s.timers {
+		s.timers[i].s = s
+		s.arm(&s.timers[i])
+	}
+	// Warm up into the steady state: pools, slot slices and the level-2
+	// population filled.
+	s.target = 1000000
+	if _, err := s.e.RunAll(); err != nil {
+		b.Fatal(err)
+	}
+	s.fires, s.slots = 0, 0
+	s.target = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := s.e.RunAll(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if s.fires != b.N {
+		b.Fatalf("fired %d events, want %d", s.fires, b.N)
+	}
+	b.ReportMetric(float64(s.fires)/float64(s.slots), "events/slot")
 }

@@ -10,7 +10,7 @@ import "testing"
 // sequences and the pending counts must match exactly. This catches
 // merge bugs between the tiers that the unit tests can't enumerate:
 // cascade-order mistakes, cursor/bound off-by-ones, drains racing ring
-// heads, stale idx encodings.
+// heads, due-run ties against late heap inserts, stale idx encodings.
 
 // refEvent is one scheduled callback in the reference engine.
 type refEvent struct {
@@ -48,6 +48,18 @@ func (r *refEngine) pending() int {
 	return n
 }
 
+// next returns the instant of the earliest live event, or now when none
+// is queued (mirrors Engine.NextEventTime).
+func (r *refEngine) next() Time {
+	at, ok := r.now, false
+	for _, ev := range r.evs {
+		if !ev.dead && (!ok || ev.at < at) {
+			at, ok = ev.at, true
+		}
+	}
+	return at
+}
+
 // run mirrors Engine.run: fire events with at <= until in (at, seq)
 // order; an event beyond the horizon advances the clock to until, an
 // empty queue leaves it (window=true always advances, like RunWindow).
@@ -83,8 +95,8 @@ func (r *refEngine) run(until Time, window bool, fire func(id int, at Time)) {
 // diffOp is one step of the randomized program, generated once and
 // interpreted against both engines.
 type diffOp struct {
-	kind    int   // 0: schedule, 1: cancel, 2: run, 3: runWindow
-	delta   int64 // schedule: delta from now; run: horizon from now
+	kind    int   // 0: schedule, 1: cancel, 2: run, 3: runWindow, 4: schedule at next
+	delta   int64 // schedule: delta from now (4: from the next queued instant); run: horizon from now
 	target  int   // cancel: index into issued ids
 	chain   bool  // schedule: the callback schedules a child when it fires
 	cancels bool  // schedule: the callback cancels `target` when it fires
@@ -93,7 +105,7 @@ type diffOp struct {
 func genDiffProgram(r *Rand, n int) []diffOp {
 	ops := make([]diffOp, n)
 	for i := range ops {
-		switch k := r.Intn(10); {
+		switch k := r.Intn(12); {
 		case k < 5:
 			ops[i] = diffOp{kind: 0, delta: int64(wheelDelta(r)),
 				chain: r.Intn(4) == 0, cancels: r.Intn(6) == 0, target: r.Intn(1 << 16)}
@@ -101,8 +113,14 @@ func genDiffProgram(r *Rand, n int) []diffOp {
 			ops[i] = diffOp{kind: 1, target: r.Intn(1 << 16)}
 		case k < 9:
 			ops[i] = diffOp{kind: 2, delta: int64(wheelDelta(r))}
-		default:
+		case k < 10:
 			ops[i] = diffOp{kind: 3, delta: int64(wheelDelta(r))}
+		default:
+			// Right after a peek has drained the next slot into the due
+			// run: this lands behind the wheel cursor (a heap late
+			// insert), mostly on the run head's own instant.
+			ops[i] = diffOp{kind: 4, delta: int64(r.Intn(3) / 2),
+				chain: r.Intn(4) == 0, cancels: r.Intn(6) == 0, target: r.Intn(1 << 16)}
 		}
 	}
 	return ops
@@ -121,10 +139,11 @@ type fireRec struct {
 	at Time
 }
 
-// runDiffReal interprets the program against the real engine; gateOff
-// forces every eligible event through the wheel (the density gate's
-// placement choice must be unobservable either way).
-func runDiffReal(ops []diffOp, gateOff bool) (fired []fireRec, pendings []int) {
+// runDiffReal interprets the program against the real engine, checking
+// the queue invariants after every op; gateOff forces every eligible
+// event through the wheel (the density gate's placement choice must be
+// unobservable either way).
+func runDiffReal(t *testing.T, ops []diffOp, gateOff bool) (fired []fireRec, pendings []int) {
 	e := NewEngine(1)
 	if gateOff {
 		e.wheelGate = 0
@@ -159,7 +178,14 @@ func runDiffReal(ops []diffOp, gateOff bool) (fired []fireRec, pendings []int) {
 			}
 		case 3:
 			e.RunWindow(e.Now().Add(Duration(op.delta)))
+		case 4:
+			next, ok := e.NextEventTime()
+			if !ok {
+				next = e.Now()
+			}
+			scheduleReal(next.Add(Duration(op.delta)), op.chain, op.cancels, op.target)
 		}
+		checkInvariants(t, e)
 		pendings = append(pendings, e.Pending())
 	}
 	if _, err := e.RunAll(); err != nil {
@@ -204,6 +230,8 @@ func runDiffRef(ops []diffOp) (fired []fireRec, pendings []int) {
 			r.run(r.now.Add(Duration(op.delta)), false, onFire)
 		case 3:
 			r.run(r.now.Add(Duration(op.delta)), true, onFire)
+		case 4:
+			schedule(r.next().Add(Duration(op.delta)), op.chain, op.cancels, op.target)
 		}
 		pendings = append(pendings, r.pending())
 	}
@@ -219,7 +247,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	rng := NewRand(20260808)
 	for prog := 0; prog < 60; prog++ {
 		ops := genDiffProgram(rng.Stream("prog"), 300)
-		gotF, gotP := runDiffReal(ops, prog%2 == 0)
+		gotF, gotP := runDiffReal(t, ops, prog%2 == 0)
 		wantF, wantP := runDiffRef(ops)
 		if len(gotF) != len(wantF) {
 			t.Fatalf("program %d: real fired %d events, reference %d", prog, len(gotF), len(wantF))

@@ -14,29 +14,34 @@ type Engine struct {
 	rng  *Rand
 	free []*event // recycled event storage; steady-state At allocates nothing
 
-	// wheel absorbs short-horizon future timers with O(1) insert/cancel;
-	// its leading slots drain into the heap before they can fire, so the
-	// firing order below is still the two-way ring/heap (at, seq) merge.
-	// Far-future events (beyond the wheel horizon) go to the heap
-	// directly. See wheel.go.
-	wheel timerWheel
+	// wheel absorbs short-horizon future timers with O(1) insert/cancel.
+	// When its leading level-0 slot becomes current, the slot's events
+	// are sorted by (at, seq) into the due run (due[dueHead:]) and fire
+	// from there; peekNext merges the ring, run and heap heads. The heap
+	// keeps only far-future overflow (beyond the wheel horizon), events
+	// scheduled while the wheel gate is shut, and late inserts whose
+	// slot has already drained. See wheel.go.
+	wheel   timerWheel
+	due     []*event
+	dueHead int
 
-	// wheelGate is the heap population at which new events start
-	// routing into the wheel (wheelMinHeap; tests zero it to force
-	// wheel placement). Cascading costs a constant per event, which
-	// only beats the heap's O(log n) once the near-horizon population
-	// is dense; below the gate — a lone cross-shard message, a single
-	// self-rescheduling tick — the 4-ary heap is 2–3 levels deep and
-	// already optimal. Once open (wheel non-empty) the gate stays open
-	// until the wheel drains, so a dense phase is not split across
-	// tiers by heap-length wobble. Placement is unobservable either
+	// wheelGate is the population of the heap plus the unfired due run
+	// (due[dueHead:], where a cancelled entry counts until peekNext
+	// drops it) at which new events start routing into the wheel
+	// (wheelMinHeap; tests zero it to force wheel placement). Cascading
+	// costs a constant per event, which only beats the heap's O(log n)
+	// once the near-horizon population is dense; below the gate — a
+	// lone cross-shard message, a single self-rescheduling tick — the
+	// 4-ary heap is 2–3 levels deep and already optimal. Once open
+	// (wheel non-empty) the gate stays open until the wheel drains, so
+	// a dense phase is not split across tiers by heap-length wobble. Placement is unobservable either
 	// way: firing order is the (at, seq) total order regardless of
 	// tier, and the gate reads only deterministic engine state.
 	wheelGate int
 
-	// pending counts live queued events across all three tiers (wheel,
-	// immediate ring, heap): incremented at enqueue, decremented at fire
-	// and at Cancel, so Pending is O(1).
+	// pending counts live queued events across every tier (wheel, due
+	// run, immediate ring, heap): incremented at enqueue, decremented at
+	// fire and at Cancel, so Pending is O(1).
 	pending int
 
 	// imm is the immediate ring: events scheduled for the current
@@ -44,8 +49,8 @@ type Engine struct {
 	// runs backwards and seq increases, these arrive already sorted by
 	// (at, seq), so they bypass the heap entirely — an O(1) ring instead
 	// of O(log n) sifts for roughly half of all event traffic. peekNext
-	// merges the ring head with the heap head by (at, seq), preserving
-	// the exact global firing order.
+	// merges the ring head with the run and heap heads by (at, seq),
+	// preserving the exact global firing order.
 	imm     []*event
 	immHead int
 
@@ -77,25 +82,18 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns an independent RNG stream for the given label.
 func (e *Engine) Rand(label string) *Rand { return e.rng.Stream(label) }
 
-// alloc takes an event from the free list (or allocates one), stamping
-// it with the clamped time and the next sequence number.
-func (e *Engine) alloc(t Time) *event {
-	if t < e.now {
-		t = e.now
+// eventSlab is how many events refill allocates at once: an engine's
+// event population grows to its peak in a few dozen allocations
+// instead of one per event.
+const eventSlab = 64
+
+// refill stocks the empty free list with eventSlab fresh events.
+func (e *Engine) refill() {
+	slab := make([]event, eventSlab)
+	for i := range slab {
+		slab[i].eng = e
+		e.free = append(e.free, &slab[i])
 	}
-	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{eng: e}
-	}
-	ev.at = t
-	ev.seq = e.seq
-	ev.dead = false
-	return ev
 }
 
 // invalidate retires an event's callbacks and outstanding handles
@@ -103,7 +101,6 @@ func (e *Engine) alloc(t Time) *event {
 func (e *Engine) invalidate(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.afn = nil
 	ev.arg = nil
 }
 
@@ -115,8 +112,8 @@ func (e *Engine) recycle(ev *event) {
 
 // enqueue routes a freshly allocated event to the immediate ring (events
 // for the current instant), the timing wheel (future events within its
-// horizon), or the heap (far-future overflow, plus events whose wheel
-// slot has already drained).
+// horizon), or the heap (far-future overflow, plus late inserts whose
+// wheel slot has already drained into the due run).
 func (e *Engine) enqueue(ev *event) {
 	e.pending++
 	if ev.at == e.now {
@@ -125,7 +122,7 @@ func (e *Engine) enqueue(ev *event) {
 		return
 	}
 	if uint64(ev.at)>>wheelShift >= e.wheel.pos &&
-		(e.wheel.count > 0 || e.heap.len() >= e.wheelGate) &&
+		(e.wheel.count > 0 || e.heap.len()+len(e.due)-e.dueHead >= e.wheelGate) &&
 		e.wheel.place(ev) {
 		e.wheel.inserts++
 		return
@@ -135,20 +132,28 @@ func (e *Engine) enqueue(ev *event) {
 
 // At schedules fn to run at virtual time t (>= now). It returns a handle
 // that may be used to cancel the event.
-func (e *Engine) At(t Time, fn func()) Event {
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.enqueue(ev)
-	return Event{e: ev, gen: ev.gen}
-}
+func (e *Engine) At(t Time, fn func()) Event { return e.AtFunc(t, callFunc, fn) }
+
+// callFunc is At's trampoline: the event carries the func() as its arg.
+func callFunc(fn any) { fn.(func())() }
 
 // AtFunc schedules fn(arg) to run at virtual time t (>= now). It is the
 // closure-free counterpart of At: hot call sites pass a long-lived
 // function and the receiver as arg, so scheduling allocates nothing.
 func (e *Engine) AtFunc(t Time, fn func(any), arg any) Event {
-	ev := e.alloc(t)
-	ev.afn = fn
-	ev.arg = arg
+	if t < e.now {
+		t = e.now
+	}
+	if len(e.free) == 0 {
+		e.refill()
+	}
+	n := len(e.free) - 1
+	ev := e.free[n]
+	e.free[n] = nil
+	e.free = e.free[:n]
+	e.seq++
+	ev.at, ev.seq = t, e.seq
+	ev.fn, ev.arg = fn, arg
 	e.enqueue(ev)
 	return Event{e: ev, gen: ev.gen}
 }
@@ -177,9 +182,9 @@ func (e *Engine) Live() int { return e.live }
 
 // Pending reports the number of queued events — O(1), from a live-event
 // counter maintained at schedule, fire, and cancel. Cancelled events
-// never count: wheel and heap events are removed eagerly, ring events
-// are invalidated (and uncounted) at cancel and their storage dropped at
-// peek.
+// never count: wheel and heap events are removed eagerly, ring and run
+// events are invalidated (and uncounted) at cancel and their storage
+// dropped at peek.
 func (e *Engine) Pending() int { return e.pending }
 
 // Stop makes Run return after the current event completes. The request
@@ -188,84 +193,74 @@ func (e *Engine) Pending() int { return e.pending }
 // immediately, at its current time, without processing any events.
 func (e *Engine) Stop() { e.stopped = true }
 
-// peekNext returns the next event to fire — the smaller of the ring and
-// heap heads by (at, seq) — or nil when no live event remains. Dead
-// (cancelled) ring entries reaching the head are dropped here, and any
-// wheel slot that might hold the earliest event is drained into the heap
-// first, so the merge below remains a two-way comparison and the global
-// (at, seq) firing order is exactly what a heap-only queue would
-// produce.
+// peekNext returns the next event to fire — the smallest of the ring,
+// due-run and heap heads by (at, seq) — or nil when no live event
+// remains. Dead (cancelled) ring and run entries reaching their head are
+// dropped here. When the run is exhausted and the wheel might hold the
+// earliest event, the wheel's next slot is drained into a fresh run
+// first, so the three-way merge yields exactly the (at, seq) order a
+// heap-only queue would produce.
 func (e *Engine) peekNext() *event {
-	for e.immHead < len(e.imm) {
-		iv := e.imm[e.immHead]
-		if !iv.dead {
-			break
-		}
+	for e.immHead < len(e.imm) && e.imm[e.immHead].idx == idxDead {
+		e.recycle(e.imm[e.immHead])
 		e.imm[e.immHead] = nil
 		e.immHead++
-		e.recycle(iv)
 	}
 	if e.immHead == len(e.imm) && len(e.imm) > 0 {
 		e.imm = e.imm[:0]
 		e.immHead = 0
 	}
-	// Every wheel-resident event satisfies at >= wheel.pos<<wheelShift
-	// (see wheel.go), so a ring/heap head strictly below that bound wins
-	// outright; at or beyond it, drain slots until the bound passes the
-	// candidate (ties must drain: an equal-instant wheel event may carry
-	// a smaller seq).
-	for e.wheel.count > 0 {
-		var cand Time = -1
-		if e.immHead < len(e.imm) {
-			cand = e.imm[e.immHead].at
+	for e.dueHead < len(e.due) && e.due[e.dueHead].idx == idxDead {
+		e.recycle(e.due[e.dueHead])
+		e.dueHead++
+	}
+	var best *event
+	if e.immHead < len(e.imm) {
+		best = e.imm[e.immHead]
+	}
+	if len(e.heap.ev) > 0 {
+		if hv := e.heap.ev[0]; best == nil || before(hv, best) {
+			best = hv
 		}
-		if hv := e.heap.peek(); hv != nil && (cand < 0 || hv.at < cand) {
-			cand = hv.at
-		}
-		if cand >= 0 && cand < Time(e.wheel.pos<<wheelShift) {
-			break
+	}
+	if e.dueHead == len(e.due) {
+		// Every wheel-resident event satisfies at >= wheel.pos<<wheelShift
+		// (see wheel.go), so a ring/heap head strictly below that bound
+		// wins outright; at or beyond it the next slot must drain (ties
+		// too: an equal-instant wheel event may carry a smaller seq). A
+		// live run entry is always below the bound, so the wheel drains
+		// only once the run is exhausted.
+		if e.wheel.count == 0 || (best != nil && best.at < Time(e.wheel.pos<<wheelShift)) {
+			return best
 		}
 		e.wheel.drainNextSlot(e)
 	}
-	hv := e.heap.peek()
-	if e.immHead == len(e.imm) {
-		return hv
+	if rv := e.due[e.dueHead]; best == nil || before(rv, best) {
+		return rv
 	}
-	iv := e.imm[e.immHead]
-	if hv != nil && (hv.at < iv.at || (hv.at == iv.at && hv.seq < iv.seq)) {
-		return hv
-	}
-	return iv
+	return best
 }
 
-// unlink removes a queued event from whichever structure holds it. ev
-// must be the ring head when it is a ring entry (as returned by
-// peekNext).
-func (e *Engine) unlink(ev *event) {
-	if ev.idx == idxImm {
+// fire unlinks the head event returned by peekNext and runs its
+// callback, recycling the storage first so the callback itself may
+// schedule (and the pool may reuse) it.
+func (e *Engine) fire(ev *event) {
+	switch ev.idx {
+	case idxImm:
 		e.imm[e.immHead] = nil
 		e.immHead++
-		ev.idx = idxFree
-		return
+	case idxDue:
+		e.dueHead++
+	default:
+		e.heap.pop()
 	}
-	e.heap.remove(ev)
-}
-
-// fire pops the head event and runs its callback, recycling the storage
-// first so the callback itself may schedule (and the pool may reuse) it.
-func (e *Engine) fire(ev *event) {
-	e.unlink(ev)
 	e.pending--
 	e.now = ev.at
 	e.processed++
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	fn, arg := ev.fn, ev.arg
 	e.invalidate(ev)
 	e.recycle(ev)
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	fn(arg)
 }
 
 // Run processes events until the queue drains, the horizon passes, or Stop
@@ -347,10 +342,11 @@ func (e *Engine) WheelInserts() uint64 { return e.wheel.inserts }
 // times, so this bounds the wheel's amortized per-event overhead.
 func (e *Engine) WheelCascades() uint64 { return e.wheel.cascades }
 
-// WheelDrains returns the number of events the wheel has handed to the
-// heap as their slots became current. WheelInserts - WheelDrains -
-// WheelOccupancy is the number of wheel events cancelled before their
-// slot drained — timers that never paid a heap operation at all.
+// WheelDrains returns the number of events the wheel has moved into the
+// due run as their level-0 slots became current. WheelInserts -
+// WheelDrains - WheelOccupancy is the number of wheel events cancelled
+// before their slot drained. A drained event fires from the run; none
+// of them pays a heap operation.
 func (e *Engine) WheelDrains() uint64 { return e.wheel.drains }
 
 // NextEventTime returns the instant of the earliest queued live event

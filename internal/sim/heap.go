@@ -6,26 +6,26 @@ package sim
 // reuse by a generation counter. User code never sees *event — it holds
 // an Event handle, which pairs the pointer with the generation it was
 // issued for, so a stale handle (fired or cancelled) is always inert.
+//
+// The layout is exactly one 64-byte cache line (a test pins it): every
+// queue tier touches at, seq and idx on each comparison or move, so a
+// wider event would split those reads across lines.
 type event struct {
 	at  Time
 	seq uint64 // insertion order; total tie-break for determinism
 	gen uint64 // bumped on release; stale handles compare unequal
 
-	// Exactly one of fn/afn is set. afn+arg is the closure-free path:
-	// hot call sites pass a long-lived func and the receiver as arg, so
-	// steady-state scheduling allocates nothing.
-	fn  func()
-	afn func(any)
+	// fn(arg) is the callback. At stores its func() in arg behind the
+	// callFunc trampoline, so every event fires through one path and
+	// hot call sites (AtFunc) allocate nothing.
+	fn  func(any)
 	arg any
 
-	eng  *Engine
-	idx  int  // heap index, or one of the sentinel/wheel encodings below
-	dead bool // cancelled while in the immediate ring; dropped at peek
-
-	// prev/next link the event into its timing-wheel slot (a doubly
-	// linked list), making wheel cancellation O(1). They are nil whenever
-	// the event is not wheel-resident.
-	prev, next *event
+	eng *Engine
+	idx int32 // heap index, or one of the sentinel/wheel encodings below
+	// slot is the event's position in its timing-wheel slot slice while
+	// it is wheel-resident, so wheel cancellation is an O(1) swap-remove.
+	slot int32
 }
 
 // Sentinel idx values for events outside the heap. A wheel-resident
@@ -34,9 +34,11 @@ type event struct {
 // identifies the wheel and Cancel can find the slot without extra
 // fields.
 const (
-	idxFree      = -1 // not queued (free, fired, or cancelled)
+	idxFree      = -1 // not queued (free, fired, or dropped after cancel)
 	idxImm       = -2 // queued in the engine's immediate ring
-	idxWheelBase = -3 // first wheel encoding; see above
+	idxDue       = -3 // queued in the engine's due run
+	idxDead      = -4 // cancelled in the ring or run; dropped at peek
+	idxWheelBase = -5 // first wheel encoding; see above
 )
 
 // Event is a cancellable handle to a scheduled callback. The zero Event
@@ -67,9 +69,10 @@ func (ev Event) When() Time {
 // Cancel removes the event from the queue so it never fires. Cancelling
 // an already-fired, already-cancelled, or zero Event is a no-op. Cancel
 // is O(1) for wheel-resident events (the dominant short-horizon timer
-// population: futex timeouts, slice renewals, retry deadlines) and
-// O(log n) for heap events; both are eager, so cancel-heavy workloads
-// never drag dead events through the queue.
+// population: futex timeouts, slice renewals, retry deadlines), for
+// ring entries and for due-run entries, and O(log n) for heap events;
+// none leaves a live-counted event behind, so cancel-heavy workloads
+// never fire or count dead events.
 func (ev Event) Cancel() {
 	e := ev.e
 	if e == nil || e.gen != ev.gen || e.idx == idxFree {
@@ -77,21 +80,27 @@ func (ev Event) Cancel() {
 	}
 	eng := e.eng
 	eng.pending--
-	if e.idx == idxImm {
-		// Ring entries cannot be unlinked in O(1); mark the event dead
-		// (invalidated, so handles and callbacks are gone) and let peek
-		// drop the storage when it reaches the head.
-		e.dead = true
+	switch {
+	case e.idx == idxImm || e.idx == idxDue:
+		// Ring and run entries cannot be unlinked in O(1); mark the
+		// event dead (invalidated, so handles and callbacks are gone)
+		// and let peek drop the storage when it reaches the head.
+		e.idx = idxDead
 		eng.invalidate(e)
 		return
-	}
-	if e.idx <= idxWheelBase {
+	case e.idx <= idxWheelBase:
 		eng.wheel.remove(e)
-	} else {
+	default:
 		eng.heap.remove(e)
 	}
 	eng.invalidate(e)
 	eng.recycle(e)
+}
+
+// before reports whether a fires before b: the (at, seq) total order
+// every queue tier and the peek merge share.
+func before(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // eventHeap is an indexed 4-ary min-heap ordered by (at, seq). It is
@@ -109,29 +118,15 @@ const heapArity = 4
 
 func (h *eventHeap) len() int { return len(h.ev) }
 
-func (h *eventHeap) less(i, j int) bool {
-	a, b := h.ev[i], h.ev[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+func (h *eventHeap) less(i, j int) bool { return before(h.ev[i], h.ev[j]) }
 
 func (h *eventHeap) push(e *event) {
-	e.idx = len(h.ev)
 	h.ev = append(h.ev, e)
-	h.up(e.idx)
+	h.up(len(h.ev) - 1)
 }
 
-// peek returns the earliest event without removing it, or nil.
-func (h *eventHeap) peek() *event {
-	if len(h.ev) == 0 {
-		return nil
-	}
-	return h.ev[0]
-}
-
-func (h *eventHeap) pop() *event {
+// pop removes the earliest event.
+func (h *eventHeap) pop() {
 	e := h.ev[0]
 	n := len(h.ev) - 1
 	last := h.ev[n]
@@ -140,15 +135,13 @@ func (h *eventHeap) pop() *event {
 	e.idx = idxFree
 	if n > 0 {
 		h.ev[0] = last
-		last.idx = 0
 		h.down(0)
 	}
-	return e
 }
 
 // remove unlinks a queued event from an arbitrary position.
 func (h *eventHeap) remove(e *event) {
-	i := e.idx
+	i := int(e.idx)
 	n := len(h.ev) - 1
 	last := h.ev[n]
 	h.ev[n] = nil
@@ -156,7 +149,6 @@ func (h *eventHeap) remove(e *event) {
 	e.idx = idxFree
 	if i < n {
 		h.ev[i] = last
-		last.idx = i
 		h.down(i)
 		h.up(i)
 	}
@@ -167,15 +159,15 @@ func (h *eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / heapArity
 		p := h.ev[parent]
-		if e.at > p.at || (e.at == p.at && e.seq > p.seq) {
+		if !before(e, p) {
 			break
 		}
 		h.ev[i] = p
-		p.idx = i
+		p.idx = int32(i)
 		i = parent
 	}
 	h.ev[i] = e
-	e.idx = i
+	e.idx = int32(i)
 }
 
 func (h *eventHeap) down(i int) {
@@ -194,17 +186,17 @@ func (h *eventHeap) down(i int) {
 		s := h.ev[first]
 		for c := first + 1; c < end; c++ {
 			x := h.ev[c]
-			if x.at < s.at || (x.at == s.at && x.seq < s.seq) {
+			if before(x, s) {
 				small, s = c, x
 			}
 		}
-		if e.at < s.at || (e.at == s.at && e.seq < s.seq) {
+		if before(e, s) {
 			break
 		}
 		h.ev[i] = s
-		s.idx = i
+		s.idx = int32(i)
 		i = small
 	}
 	h.ev[i] = e
-	e.idx = i
+	e.idx = int32(i)
 }

@@ -6,13 +6,14 @@ import (
 )
 
 // checkInvariants verifies the heap property, index bookkeeping, the
-// sortedness of the immediate ring, the wheel's slot/occupancy/linkage
-// invariants, and the O(1) pending counter against a full recount.
+// sortedness of the immediate ring and the due run, the wheel's
+// slot/occupancy/position invariants, and the O(1) pending counter
+// against a full recount.
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
 	h := &e.heap
 	for i, ev := range h.ev {
-		if ev.idx != i {
+		if int(ev.idx) != i {
 			t.Fatalf("heap[%d].idx = %d", i, ev.idx)
 		}
 		if i > 0 {
@@ -23,46 +24,49 @@ func checkInvariants(t *testing.T, e *Engine) {
 			}
 		}
 	}
-	immLive := 0
-	for i := e.immHead; i < len(e.imm); i++ {
-		ev := e.imm[i]
-		if ev.idx != idxImm {
-			t.Fatalf("imm[%d].idx = %d, want %d", i, ev.idx, idxImm)
-		}
-		if !ev.dead {
-			immLive++
-		}
-		if i > e.immHead {
-			prev := e.imm[i-1]
-			if ev.at < prev.at || (ev.at == prev.at && ev.seq < prev.seq) {
-				t.Fatalf("imm ring unsorted at %d: (%d,%d) after (%d,%d)",
-					i, ev.at, ev.seq, prev.at, prev.seq)
+	// queued checks one in-order tier (ring or due run) from its head:
+	// sorted by (at, seq), each entry live (idx = liveIdx) or cancelled
+	// (idxDead), and returns the live count.
+	queued := func(name string, q []*event, head int, liveIdx int32) int {
+		live := 0
+		for i := head; i < len(q); i++ {
+			ev := q[i]
+			switch ev.idx {
+			case liveIdx:
+				live++
+			case idxDead:
+			default:
+				t.Fatalf("%s[%d].idx = %d, want %d or %d", name, i, ev.idx, liveIdx, idxDead)
+			}
+			if i > head && before(ev, q[i-1]) {
+				t.Fatalf("%s unsorted at %d: (%d,%d) after (%d,%d)",
+					name, i, ev.at, ev.seq, q[i-1].at, q[i-1].seq)
 			}
 		}
+		return live
 	}
+	immLive := queued("imm", e.imm, e.immHead, idxImm)
+	dueLive := queued("due", e.due, e.dueHead, idxDue)
 	w := &e.wheel
+	if e.dueHead < len(e.due) && uint64(e.due[len(e.due)-1].at)>>wheelShift >= w.pos {
+		t.Fatalf("due run reaches tick %d, not below cursor %d", uint64(e.due[len(e.due)-1].at)>>wheelShift, w.pos)
+	}
 	wheelTotal := 0
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		sh := uint(lvl * wheelSlotBits)
 		for s := 0; s < wheelSlots; s++ {
-			head := w.slots[lvl][s]
+			list := w.slots[lvl][s]
 			occupied := w.occ[lvl]&(1<<uint(s)) != 0
-			if (head != nil) != occupied {
-				t.Fatalf("wheel occ[%d] bit %d = %v but head = %v", lvl, s, occupied, head)
+			if (len(list) > 0) != occupied {
+				t.Fatalf("wheel occ[%d] bit %d = %v but slot holds %d", lvl, s, occupied, len(list))
 			}
-			if head == nil {
-				continue
-			}
-			if head.prev != nil {
-				t.Fatalf("wheel slot (%d,%d) head has prev", lvl, s)
-			}
-			for ev := head; ev != nil; ev = ev.next {
+			for i, ev := range list {
 				wheelTotal++
-				if want := idxWheelBase - (lvl*wheelSlots + s); ev.idx != want {
+				if want := int32(idxWheelBase - (lvl*wheelSlots + s)); ev.idx != want {
 					t.Fatalf("wheel event idx = %d, want %d", ev.idx, want)
 				}
-				if ev.next != nil && ev.next.prev != ev {
-					t.Fatalf("wheel slot (%d,%d) list linkage broken", lvl, s)
+				if int(ev.slot) != i {
+					t.Fatalf("wheel slot (%d,%d)[%d].slot = %d", lvl, s, i, ev.slot)
 				}
 				tick := uint64(ev.at) >> wheelShift
 				if tick < w.pos {
@@ -80,9 +84,9 @@ func checkInvariants(t *testing.T, e *Engine) {
 	if wheelTotal != w.count {
 		t.Fatalf("wheel count = %d, recount = %d", w.count, wheelTotal)
 	}
-	if want := wheelTotal + h.len() + immLive; e.pending != want {
-		t.Fatalf("pending counter = %d, recount = %d (wheel %d, heap %d, imm %d)",
-			e.pending, want, wheelTotal, h.len(), immLive)
+	if want := wheelTotal + h.len() + immLive + dueLive; e.pending != want {
+		t.Fatalf("pending counter = %d, recount = %d (wheel %d, heap %d, imm %d, due %d)",
+			e.pending, want, wheelTotal, h.len(), immLive, dueLive)
 	}
 }
 
@@ -360,7 +364,7 @@ func TestHeapArbitraryRemovalProperty(t *testing.T) {
 		}
 		h := &e.heap
 		for i := range h.ev {
-			if h.ev[i].idx != i {
+			if int(h.ev[i].idx) != i {
 				return false
 			}
 			if i > 0 && h.less(i, (i-1)/heapArity) {

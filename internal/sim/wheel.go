@@ -7,17 +7,19 @@ import "math/bits"
 // fronts the event heap for the dense short-horizon timer traffic a
 // fleet simulation generates: slice expiries, quantum renewals,
 // arrivals, futex/retry timeouts. Insert and cancel are O(1) — a slot
-// is a doubly linked list addressed by bit arithmetic — while far-future
-// events (beyond the wheel horizon) overflow into the 4-ary heap.
+// is an unordered slice addressed by bit arithmetic, and each resident
+// event records its position in it — while far-future events (beyond
+// the wheel horizon) overflow into the 4-ary heap.
 //
-// The wheel never fires events itself, so it is invisible to the
-// (at, seq) ordering contract: whenever the earliest queued event might
-// be wheel-resident, peekNext drains the wheel's leading slot(s) into
-// the heap first (drainNextSlot), and the ring/heap two-way merge then
-// decides the firing order exactly as before. Draining moves pooled
-// event storage between queue tiers without touching callbacks, handles,
-// or sequence numbers, so firing order — and therefore every artefact
-// byte — is unchanged at any -par/-shards.
+// The wheel is invisible to the (at, seq) ordering contract: whenever
+// the earliest queued event might be wheel-resident, peekNext drains the
+// wheel's next level-0 slot (drainNextSlot), which sorts the slot's
+// events by (at, seq) into the engine's due run. They fire from the run
+// in that order, merged with the immediate ring and the heap by the
+// same key, so no drained event ever enters the heap. Draining moves
+// pooled event storage between queue tiers without touching callbacks,
+// handles, or sequence numbers, so firing order — and therefore every
+// artefact byte — is unchanged at any -par/-shards.
 //
 // Geometry: wheelLevels levels of wheelSlots slots; a level-0 slot spans
 // 2^wheelShift ns (32.768µs) and each level is wheelSlots times coarser:
@@ -32,15 +34,17 @@ import "math/bits"
 // timeline grid from the resilience layer (load.RetryPolicy.Quantum,
 // load.PhasedPoisson), so a grid-aligned retry/backoff storm's instant
 // occupies exactly one slot: the whole burst is placed, cascaded, and
-// drained as a single list, never straddling two slots.
+// drained as a single slice, never straddling two slots.
 //
 // pos is the wheel's cursor: the next undrained level-0 tick. Every
 // wheel-resident event satisfies at >= pos<<wheelShift (level-0 events
 // sit at ticks >= pos; a level-k slot is cascaded into lower levels
-// before pos enters it), which is the bound peekNext uses to stop
-// draining. pos advances only through drainNextSlot — never with the
-// clock directly — so RunWindow's park-at-window-edge clock jumps and
-// NextEventTime peeks need no wheel bookkeeping of their own.
+// before pos enters it), which is the bound peekNext uses to decide
+// whether to drain. Every due-run event sits in the tick just below pos,
+// so a live run head always precedes the whole wheel. pos advances only
+// through drainNextSlot — never with the clock directly — so
+// RunWindow's park-at-window-edge clock jumps and NextEventTime peeks
+// need no wheel bookkeeping of their own.
 const (
 	wheelShift    = 15 // log2 of the level-0 slot width in ns (32.768µs)
 	wheelSlotBits = 6  // log2 slots per level
@@ -48,24 +52,39 @@ const (
 	wheelMask     = wheelSlots - 1
 	wheelLevels   = 5
 
-	// wheelMinHeap is the heap population that opens the wheel gate
-	// (Engine.wheelGate): a 4-ary heap of 16 is two levels deep, so
-	// below this the heap wins and the wheel's per-event cascade
-	// constant would be pure overhead.
+	// wheelMinHeap is the heap-plus-unfired-run population that opens
+	// the wheel gate (Engine.wheelGate): a 4-ary heap of 16 is two
+	// levels deep, so below this the heap wins and the wheel's
+	// per-event cascade constant would be pure overhead.
 	wheelMinHeap = 16
+
+	// wheelSlotCap is the capacity of a fresh slot array. Arrays are
+	// recycled through timerWheel.free, so this sets how often a
+	// crowded slot outgrows its array while an engine warms up, not the
+	// steady-state footprint. The paper cells crowd up to 32 events
+	// into a slot; at a capacity of 8 or 16 those slots regrow, and
+	// BenchmarkAblationWaitPolicyActive allocated 2–4% more objects per
+	// run than at 32.
+	wheelSlotCap = 32
 )
 
 type timerWheel struct {
-	pos   uint64                          // next undrained level-0 tick (time >> wheelShift)
-	count int                             // live events resident in the wheel
-	occ   [wheelLevels]uint64             // per-level slot occupancy bitmaps
-	slots [wheelLevels][wheelSlots]*event // doubly linked slot lists
+	pos   uint64                            // next undrained level-0 tick (time >> wheelShift)
+	count int                               // live events resident in the wheel
+	occ   [wheelLevels]uint64               // per-level slot occupancy bitmaps
+	slots [wheelLevels][wheelSlots][]*event // unordered slot slices
 
 	// Lifetime counters for the profiling accessors (Engine.WheelInserts
 	// etc.); plain increments, never read on the simulation path.
 	inserts  uint64 // events routed into the wheel at schedule time
 	cascades uint64 // events moved down a level by drainNextSlot
-	drains   uint64 // events handed from level 0 to the heap
+	drains   uint64 // events moved from level 0 into the due run
+
+	// free holds emptied slot arrays: a drained or cascaded slot hands
+	// its array back here and a slot that receives its first event takes
+	// one, so an engine's slot storage is allocated once and then
+	// recirculates instead of every slot growing its own.
+	free [][]*event
 }
 
 // place routes ev into the wheel slot covering ev.at and reports whether
@@ -78,15 +97,19 @@ func (w *timerWheel) place(ev *event) bool {
 		sh := uint(lvl * wheelSlotBits)
 		if (tick>>sh)-(w.pos>>sh) < wheelSlots {
 			s := int((tick >> sh) & wheelMask)
-			head := w.slots[lvl][s]
-			ev.prev = nil
-			ev.next = head
-			if head != nil {
-				head.prev = ev
+			list := w.slots[lvl][s]
+			if list == nil {
+				if n := len(w.free); n > 0 {
+					list = w.free[n-1]
+					w.free = w.free[:n-1]
+				} else {
+					list = make([]*event, 0, wheelSlotCap)
+				}
 			}
-			w.slots[lvl][s] = ev
+			ev.slot = int32(len(list))
+			w.slots[lvl][s] = append(list, ev)
 			w.occ[lvl] |= 1 << uint(s)
-			ev.idx = idxWheelBase - (lvl*wheelSlots + s)
+			ev.idx = int32(idxWheelBase - (lvl*wheelSlots + s))
 			w.count++
 			return true
 		}
@@ -95,20 +118,18 @@ func (w *timerWheel) place(ev *event) bool {
 }
 
 // remove unlinks a wheel-resident event (O(1)): idx encodes its level
-// and slot, prev/next splice it out of the slot list.
+// and slot, and the slot's last event takes its place.
 func (w *timerWheel) remove(ev *event) {
-	code := idxWheelBase - ev.idx
+	code := idxWheelBase - int(ev.idx)
 	lvl, s := code/wheelSlots, code%wheelSlots
-	if ev.prev != nil {
-		ev.prev.next = ev.next
-	} else {
-		w.slots[lvl][s] = ev.next
+	list := w.slots[lvl][s]
+	last := len(list) - 1
+	if i := ev.slot; int(i) != last {
+		list[i] = list[last]
+		list[i].slot = i
 	}
-	if ev.next != nil {
-		ev.next.prev = ev.prev
-	}
-	ev.prev, ev.next = nil, nil
-	if w.slots[lvl][s] == nil {
+	w.slots[lvl][s] = list[:last]
+	if last == 0 {
 		w.occ[lvl] &^= 1 << uint(s)
 	}
 	ev.idx = idxFree
@@ -147,40 +168,60 @@ func (w *timerWheel) nextSlot() (lvl int, startTick uint64) {
 
 // drainNextSlot advances the cursor to the earliest occupied slot,
 // cascading higher-level slots into lower levels as the cursor enters
-// them, and moves the resulting level-0 slot's events into the heap.
-// Each event cascades at most wheelLevels-1 times over its lifetime, so
-// the amortized cost per event is O(1) list splices plus one O(log h)
-// heap push against the small near-horizon heap. Precondition:
-// w.count > 0.
+// them, and makes the resulting level-0 slot the engine's due run,
+// sorted by (at, seq). The slot's array becomes the run, and the
+// exhausted run's array and every cascaded slot's array go back to
+// w.free, so no slice reallocates in steady state. Each event cascades
+// at most wheelLevels-1 times over its lifetime, so the amortized cost
+// per event is O(1) slice moves plus its share of a sort over the few
+// events of one 32.768µs slot. Preconditions: w.count > 0 and the run
+// is exhausted.
 func (w *timerWheel) drainNextSlot(e *Engine) {
 	for {
 		lvl, start := w.nextSlot()
 		w.pos = start
 		s := int((start >> uint(lvl*wheelSlotBits)) & wheelMask)
 		list := w.slots[lvl][s]
-		w.slots[lvl][s] = nil
 		w.occ[lvl] &^= 1 << uint(s)
 		if lvl == 0 {
-			for ev := list; ev != nil; {
-				next := ev.next
-				ev.prev, ev.next = nil, nil
-				w.count--
-				w.drains++
-				e.heap.push(ev)
-				ev = next
+			if e.due != nil {
+				w.free = append(w.free, e.due[:0])
 			}
+			w.slots[0][s] = nil
+			sortDue(list)
+			e.due, e.dueHead = list, 0
+			w.count -= len(list)
+			w.drains += uint64(len(list))
 			w.pos = start + 1
 			return
 		}
 		// Cascade: with the cursor now at the slot's start, every event
-		// in it fits a lower level (or level 0) by construction.
-		for ev := list; ev != nil; {
-			next := ev.next
-			ev.prev, ev.next = nil, nil
-			w.count--
-			w.cascades++
+		// in it fits a lower level (or level 0) by construction, so
+		// place never appends to the slice being walked.
+		for _, ev := range list {
 			w.place(ev)
-			ev = next
 		}
+		w.count -= len(list)
+		w.cascades += uint64(len(list))
+		w.free = append(w.free, list[:0])
+		w.slots[lvl][s] = nil
+	}
+}
+
+// sortDue sorts a drained slot by (at, seq) and marks its events as run
+// entries. Insertion sort costs the slot's length plus its inversions,
+// and a slot is short and nearly sorted: events mostly arrive in seq
+// order, and one slot spans a single 32.768µs tick. A drained slot in
+// the paper and chaos sweeps holds at most 32 events, and 1 in most
+// drains. slices.SortFunc in its place cost about 1.8 times as much
+// CPU per chaos pass.
+func sortDue(due []*event) {
+	for i, ev := range due {
+		ev.idx = idxDue
+		j := i
+		for ; j > 0 && before(ev, due[j-1]); j-- {
+			due[j] = due[j-1]
+		}
+		due[j] = ev
 	}
 }

@@ -1,14 +1,20 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // wheelDelta spreads test timers across all queue tiers: the immediate
-// ring, every wheel level, and the overflow heap.
+// ring, every wheel level, and the overflow heap. Grid-aligned deltas
+// (whole level-0 slots) make many events share an instant, so drained
+// slots become due runs full of same-instant ties.
 func wheelDelta(r *Rand) Duration {
-	switch r.Intn(7) {
+	switch r.Intn(8) {
+	case 7:
+		return Duration(r.Intn(4)+1) << wheelShift // grid-aligned, a few slots out
 	case 0:
 		return 0 // immediate ring
 	case 1:
@@ -109,34 +115,56 @@ func TestWheelOrderingProperty(t *testing.T) {
 // TestWheelSameInstantFIFO checks the quantised-grid shape from the
 // resilience layer: many timers on the exact same grid instants (the
 // 32.768µs retry/backoff grid) must fire FIFO within each instant even
-// though they share a wheel slot.
+// though they share a slot whose order the wheel does not keep. Three
+// things scramble that order before the slot drains into the due run:
+// a second batch scheduled straight into level 0 while the first still
+// waits at level 1 (the first batch cascades in behind it), cancels
+// (a slot removal moves its last event into the gap), and, with the
+// density gate on, the first batch's earliest events sitting in the
+// heap, tied in time with later run entries. Ten instants put about 26
+// live events in a slot; four put about 64, more than a fresh slot
+// array holds (wheelSlotCap), so those slots grow while scrambled.
 func TestWheelSameInstantFIFO(t *testing.T) {
 	const grid = 32768 * Nanosecond
-	e := NewEngine(1)
-	e.wheelGate = 0
-	type rec struct {
-		at  Time
-		ord int
-	}
-	var fired []rec
-	ord := 0
-	for i := 0; i < 300; i++ {
-		i := i
-		e.After(Duration(i%10+1)*grid, func() {
-			fired = append(fired, rec{e.Now(), i})
-			ord++
-		})
-	}
-	if _, err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 300 {
-		t.Fatalf("fired %d, want 300", len(fired))
-	}
-	for i := 1; i < len(fired); i++ {
-		a, b := fired[i-1], fired[i]
-		if b.at < a.at || (b.at == a.at && b.ord < a.ord) {
-			t.Fatalf("grid instants not FIFO: %+v after %+v", b, a)
+	for _, c := range []struct{ gate, instants int }{{0, 10}, {wheelMinHeap, 10}, {0, 4}, {wheelMinHeap, 4}} {
+		e := NewEngine(1)
+		e.wheelGate = c.gate
+		type rec struct {
+			at  Time
+			ord int
+		}
+		var fired []rec
+		var handles []Event
+		schedule := func(from, to int) {
+			for i := from; i < to; i++ {
+				i := i
+				at := Time(100+i%c.instants) * Time(grid) // level 1 from tick 0
+				handles = append(handles, e.At(at, func() { fired = append(fired, rec{e.Now(), i}) }))
+			}
+		}
+		schedule(0, 150)
+		e.At(50*Time(grid), func() {}) // moves the cursor past tick 50
+		if _, err := e.Run(60 * Time(grid)); err != nil {
+			t.Fatal(err)
+		}
+		schedule(150, 300) // within 64 ticks of the cursor: level 0
+		cancelled := 0
+		for i := 0; i < 300; i += 7 {
+			handles[i].Cancel()
+			cancelled++
+		}
+		checkInvariants(t, e)
+		if _, err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if len(fired) != 300-cancelled {
+			t.Fatalf("%+v: fired %d, want %d", c, len(fired), 300-cancelled)
+		}
+		for i := 1; i < len(fired); i++ {
+			a, b := fired[i-1], fired[i]
+			if b.at < a.at || (b.at == a.at && b.ord < a.ord) {
+				t.Fatalf("%+v: grid instants not FIFO: %+v after %+v", c, b, a)
+			}
 		}
 	}
 }
@@ -195,7 +223,7 @@ func TestWheelCancelInterleavings(t *testing.T) {
 }
 
 // TestWheelHandleSurvivesCascade verifies that cascading (level k ->
-// level k-1 -> heap) preserves event identity: a handle taken at
+// level k-1 -> due run) preserves event identity: a handle taken at
 // schedule time still reports Active/When and can cancel after the
 // event has migrated tiers.
 func TestWheelHandleSurvivesCascade(t *testing.T) {
@@ -232,7 +260,7 @@ func TestWheelHandleSurvivesCascade(t *testing.T) {
 }
 
 // TestWheelCounters checks the profiling accessors' accounting identity:
-// every wheel insert is eventually drained to the heap, cancelled in
+// every wheel insert is eventually drained to the due run, cancelled in
 // place, or still resident.
 func TestWheelCounters(t *testing.T) {
 	e := NewEngine(1)
@@ -422,5 +450,82 @@ func TestPendingCounterExact(t *testing.T) {
 	check("final drain")
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after final drain", e.Pending())
+	}
+}
+
+// TestEventIsOneCacheLine pins the event layout: every queue tier reads
+// at, seq and idx on each comparison or move, and the 64-byte event
+// keeps them on one cache line.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Fatalf("sizeof(event) = %d bytes, want 64", got)
+	}
+}
+
+// TestDueRunHandles covers handles whose event sits in the due run: a
+// drained slot's entries stay Active with their exact When, Cancel
+// drops one in O(1) without firing it, a callback may cancel a later
+// sibling of its own run, and a late insert for the run's instant (a
+// heap entry behind the cursor) fires after the run's ties.
+func TestDueRunHandles(t *testing.T) {
+	e := NewEngine(1)
+	e.wheelGate = 0
+	slot := Time(5 << wheelShift)
+	var fired []int
+	rec := func(id int) func() { return func() { fired = append(fired, id) } }
+	var h [5]Event
+	h[3] = e.At(slot+7, rec(3))
+	h[0] = e.At(slot, rec(0))
+	h[2] = e.At(slot+7, rec(2)) // same instant as 3, later seq
+	h[4] = e.At(slot+9, rec(4))
+	h[1] = e.At(slot, func() {
+		fired = append(fired, 1)
+		h[2].Cancel() // a later sibling in this run
+		if h[2].Active() || h[2].When() != -1 {
+			t.Error("sibling cancelled from a callback still Active")
+		}
+	})
+	// Stop short of the slot: the peek drains it into the due run.
+	if _, err := e.Run(slot - 1); err != nil {
+		t.Fatal(err)
+	}
+	if e.WheelOccupancy() != 0 || len(e.due)-e.dueHead != 5 {
+		t.Fatalf("slot not drained into the run: wheel %d, run %d", e.WheelOccupancy(), len(e.due)-e.dueHead)
+	}
+	checkInvariants(t, e)
+	for i, want := range []Time{slot, slot, slot + 7, slot + 7, slot + 9} {
+		if h[i].e.idx != idxDue || !h[i].Active() || h[i].When() != want {
+			t.Fatalf("run entry %d: idx %d, Active %v, When %v (want %v)",
+				i, h[i].e.idx, h[i].Active(), h[i].When(), want)
+		}
+	}
+	h[4].Cancel()
+	h[4].Cancel() // double cancel is inert
+	if h[4].Active() || h[4].When() != -1 || e.Pending() != 4 {
+		t.Fatalf("cancelled run entry: Active %v, When %v, Pending %d", h[4].Active(), h[4].When(), e.Pending())
+	}
+	checkInvariants(t, e)
+	// The run's slot has drained, so this lands behind the cursor in the
+	// heap, equal in at to entries 2 and 3 but with a later seq.
+	e.At(slot+7, rec(5))
+	if e.heap.len() != 1 {
+		t.Fatalf("late insert not in the heap (heap %d)", e.heap.len())
+	}
+	checkInvariants(t, e)
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, e)
+	if want := []int{0, 1, 3, 5}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i, ev := range h {
+		if ev.Active() {
+			t.Fatalf("handle %d still Active after the run drained", i)
+		}
+		ev.Cancel() // stale: inert
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after RunAll", e.Pending())
 	}
 }

@@ -72,6 +72,10 @@ type Config struct {
 	OuterThreads, InnerThreads int
 	Horizon                    sim.Duration
 	Seed                       uint64
+	// Events, when non-nil, receives the number of engine events the
+	// run fired, for run profiling. It is an out-parameter rather than a
+	// Result field so that Result stays the simulated outcome alone.
+	Events *int64
 }
 
 // Label renders the composition like the paper's row labels.
@@ -127,6 +131,9 @@ func Run(cfg Config) Result {
 	timedOut, err := sys.Run(cfg.Horizon)
 	if err != nil {
 		panic(err)
+	}
+	if cfg.Events != nil {
+		*cfg.Events = int64(sys.Eng.Processed())
 	}
 	res := Result{TimedOut: timedOut || !finished, Elapsed: elapsed, CacheHits: cacheHits}
 	if finished && elapsed > 0 {

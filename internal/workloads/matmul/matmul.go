@@ -44,6 +44,10 @@ type Config struct {
 	// Tracer, when non-nil, records the kernel's scheduling events for
 	// Chrome trace-event export (cmd/uschedsim -trace).
 	Tracer *trace.Buffer
+	// Events, when non-nil, receives the number of engine events the
+	// run fired, for run profiling. It is an out-parameter rather than a
+	// Result field so that Result stays the simulated outcome alone.
+	Events *int64
 }
 
 // Result reports one run.
@@ -131,6 +135,9 @@ func Run(cfg Config) Result {
 	timedOut, err := sys.Run(cfg.Horizon)
 	if err != nil {
 		panic(err)
+	}
+	if cfg.Events != nil {
+		*cfg.Events = int64(sys.Eng.Processed())
 	}
 	res := Result{
 		TimedOut:        timedOut || !finished,

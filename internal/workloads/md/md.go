@@ -91,6 +91,10 @@ type Config struct {
 	InitWork sim.Duration
 	Horizon  sim.Duration
 	Seed     uint64
+	// Events, when non-nil, receives the number of engine events the
+	// run fired, for run profiling. It is an out-parameter rather than a
+	// Result field so that Result stays the simulated outcome alone.
+	Events *int64
 }
 
 // DefaultConfig returns the paper-shaped configuration on MareNostrum5.
@@ -232,6 +236,9 @@ func Run(cfg Config) Result {
 	timedOut, err := sys.Run(cfg.Horizon)
 	if err != nil {
 		panic(err)
+	}
+	if cfg.Events != nil {
+		*cfg.Events = int64(sys.Eng.Processed())
 	}
 	end := sys.Eng.Now()
 	res := Result{BW: bw, TimedOut: timedOut || finished < cfg.Ensembles, Elapsed: sim.Duration(end)}
