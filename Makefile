@@ -9,7 +9,7 @@ BENCHTIME ?= 1x
 # stay at one full simulation each.
 SIM_BENCHTIME ?= 100000x
 BENCH     ?= .
-BENCH_OUT ?= BENCH_PR20.json
+BENCH_OUT ?= BENCH_PR21.json
 
 .PHONY: test race lint bench bench-json quick
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 )
 
 // The -diff mode: compare two BENCH_*.json perf trajectories and turn
@@ -18,6 +20,13 @@ import (
 // allocSlackAbs or allocSlackRel·old, whichever is larger. A real
 // per-op leak scales with the simulation's event count and blows
 // through both; 0 -> 1 on an alloc-free microbenchmark still fails.
+//
+// The sim-* metrics (simulated GFLOPS, latencies, preemption counts,
+// ...) are outcomes of the simulation, not of the host, so they are
+// identical on every machine: any change to one, or a sim-* metric that
+// only one side reports, fails the gate. That makes the diff a
+// byte-level determinism check for the benchmarked configurations that
+// no `uschedsim` scenario runs (the affinity and quantum ablations).
 
 // nsTolerance is the fractional ns/op increase tolerated as noise.
 const nsTolerance = 0.10
@@ -37,7 +46,8 @@ type benchDelta struct {
 	newAllocs  *float64
 	nsRatio    float64 // new/old, 0 when old ns/op is 0
 	nsRegress  bool
-	allocs     bool // allocs/op increased
+	allocs     bool     // allocs/op increased
+	simDiffs   []string // changed sim-* metrics, "name old -> new"
 	missingNew bool
 	missingOld bool
 }
@@ -85,6 +95,7 @@ func diffReports(old, new *Report) []benchDelta {
 			}
 			d.allocs = *nb.AllocsPerOp > *ob.AllocsPerOp+slack
 		}
+		d.simDiffs = simMetricDiffs(ob.Metrics, nb.Metrics)
 		deltas = append(deltas, d)
 	}
 	for _, nb := range new.Benchmarks {
@@ -95,9 +106,42 @@ func diffReports(old, new *Report) []benchDelta {
 	return deltas
 }
 
+// simMetricDiffs lists, in name order, the sim-* metrics whose values
+// differ between old and new, a missing metric counting as a change.
+func simMetricDiffs(old, new map[string]float64) []string {
+	var names []string
+	for name := range old {
+		names = append(names, name)
+	}
+	for name := range new {
+		if _, ok := old[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var diffs []string
+	for _, name := range names {
+		if !strings.HasPrefix(name, "sim-") {
+			continue
+		}
+		ov, inOld := old[name]
+		nv, inNew := new[name]
+		switch {
+		case !inNew:
+			diffs = append(diffs, fmt.Sprintf("%s %g -> missing", name, ov))
+		case !inOld:
+			diffs = append(diffs, fmt.Sprintf("%s missing -> %g", name, nv))
+		case ov != nv:
+			diffs = append(diffs, fmt.Sprintf("%s %g -> %g", name, ov, nv))
+		}
+	}
+	return diffs
+}
+
 // writeDiff renders the deltas and reports whether the comparison
-// fails the gate (any allocs/op increase or >nsTolerance ns/op
-// regression). Benchmarks present on only one side are informational.
+// fails the gate (any allocs/op increase, >nsTolerance ns/op
+// regression or changed sim-* metric). Benchmarks present on only one
+// side are informational.
 func writeDiff(w io.Writer, deltas []benchDelta) (failed bool) {
 	for _, d := range deltas {
 		switch {
@@ -107,7 +151,7 @@ func writeDiff(w io.Writer, deltas []benchDelta) (failed bool) {
 			fmt.Fprintf(w, "?  %-60s only in NEW (%.1f ns/op)\n", d.key, d.newNs)
 		default:
 			mark := "ok"
-			if d.nsRegress || d.allocs {
+			if d.nsRegress || d.allocs || len(d.simDiffs) > 0 {
 				mark = "RE"
 				failed = true
 			} else if d.nsRatio != 0 && d.nsRatio < 1-nsTolerance {
@@ -123,6 +167,9 @@ func writeDiff(w io.Writer, deltas []benchDelta) (failed bool) {
 			}
 			if d.nsRegress {
 				line += fmt.Sprintf("  NS REGRESSION (> %+.0f%%)", 100*nsTolerance)
+			}
+			for _, sd := range d.simDiffs {
+				line += "  SIM METRIC CHANGED: " + sd
 			}
 			fmt.Fprintln(w, line)
 		}
@@ -158,7 +205,7 @@ func runDiff(oldPath, newPath string, stdout, stderr io.Writer) int {
 	}
 	deltas := diffReports(old, new)
 	if writeDiff(stdout, deltas) {
-		fmt.Fprintf(stderr, "benchjson: %s regressed against %s (allocs/op increase or ns/op > +%.0f%%)\n",
+		fmt.Fprintf(stderr, "benchjson: %s regressed against %s (allocs/op increase, ns/op > +%.0f%% or a changed sim-* metric)\n",
 			newPath, oldPath, 100*nsTolerance)
 		return 1
 	}

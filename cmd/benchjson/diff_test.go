@@ -121,6 +121,50 @@ func TestDiffAddedAndRemovedAreInformational(t *testing.T) {
 	}
 }
 
+// TestDiffFlagsChangedSimMetric: simulated outcomes are host-independent,
+// so a changed or vanished sim-* metric fails the gate whatever ns/op
+// does, while host-side custom metrics may drift.
+func TestDiffFlagsChangedSimMetric(t *testing.T) {
+	m := func(kv ...any) map[string]float64 {
+		out := make(map[string]float64)
+		for i := 0; i < len(kv); i += 2 {
+			out[kv[i].(string)] = kv[i+1].(float64)
+		}
+		return out
+	}
+	old := mkReport(
+		Benchmark{Name: "BenchmarkSame", Package: "p", NsPerOp: 100, Metrics: m("sim-GFLOPS", 411.9, "ns/poll", 30.0)},
+		Benchmark{Name: "BenchmarkMoved", Package: "p", NsPerOp: 100, Metrics: m("sim-GFLOPS", 411.9, "sim-migrations", 7275.0)},
+		Benchmark{Name: "BenchmarkLost", Package: "p", NsPerOp: 100, Metrics: m("sim-preemptions", 917.0)},
+	)
+	new := mkReport(
+		Benchmark{Name: "BenchmarkSame", Package: "p", NsPerOp: 80, Metrics: m("sim-GFLOPS", 411.9, "ns/poll", 24.0)},
+		Benchmark{Name: "BenchmarkMoved", Package: "p", NsPerOp: 80, Metrics: m("sim-GFLOPS", 411.9, "sim-migrations", 7276.0)},
+		Benchmark{Name: "BenchmarkLost", Package: "p", NsPerOp: 80},
+	)
+	deltas := diffReports(old, new)
+	if d := deltaByKey(t, deltas, "p.BenchmarkSame"); len(d.simDiffs) != 0 {
+		t.Fatalf("equal sim metrics flagged: %+v", d)
+	}
+	if d := deltaByKey(t, deltas, "p.BenchmarkMoved"); len(d.simDiffs) != 1 || d.simDiffs[0] != "sim-migrations 7275 -> 7276" {
+		t.Fatalf("changed sim metric not flagged alone: %+v", d)
+	}
+	if d := deltaByKey(t, deltas, "p.BenchmarkLost"); len(d.simDiffs) != 1 {
+		t.Fatalf("vanished sim metric not flagged: %+v", d)
+	}
+	var sb strings.Builder
+	if failed := writeDiff(&sb, deltas); !failed {
+		t.Fatalf("gate passed despite a changed sim metric:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "SIM METRIC CHANGED: sim-migrations 7275 -> 7276") {
+		t.Fatalf("report does not name the changed metric:\n%s", sb.String())
+	}
+	var clean strings.Builder
+	if failed := writeDiff(&clean, diffReports(old, old)); failed {
+		t.Fatalf("identical reports failed the gate:\n%s", clean.String())
+	}
+}
+
 func TestDiffMissingAllocsOnOneSideIsNotARegression(t *testing.T) {
 	old := mkReport(Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 100})
 	new := mkReport(Benchmark{Name: "BenchmarkA", Package: "p", NsPerOp: 100, AllocsPerOp: fp(9)})

@@ -395,3 +395,20 @@ func TestPaperCellsReportEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedCmpCellsReportEvents checks both schedcmp legs: the matmul
+// cells through matmul's Events out-parameter, the services cells from
+// inference.Result.Events.
+func TestSchedCmpCellsReportEvents(t *testing.T) {
+	cfg := QuickSchedCmp()
+	cfg.Classes, cfg.Oversub = cfg.Classes[:1], cfg.Oversub[:1]
+	jobs := SchedCmpJobs(cfg)
+	if len(jobs) != 2 {
+		t.Fatalf("%d jobs, want one per leg", len(jobs))
+	}
+	for _, r := range harness.Run(jobs, 1) {
+		if r.Metric.Events <= 0 {
+			t.Errorf("cell %s reports %d events, want > 0", r.Metric.Cell, r.Metric.Events)
+		}
+	}
+}

@@ -115,6 +115,7 @@ func SchedCmpJobs(cfg SchedCmpConfig) []harness.Job {
 			jobs = append(jobs, harness.Job{
 				Name: fmt.Sprintf("matmul/%s/oversub%d", class, f),
 				Run: func() harness.Output {
+					var events int64
 					res := matmul.Run(matmul.Config{
 						Machine:     cfg.Machine,
 						Mode:        stack.ModeBaseline,
@@ -125,11 +126,13 @@ func SchedCmpJobs(cfg SchedCmpConfig) []harness.Job {
 						Horizon:     cfg.Horizon,
 						Seed:        cfg.Seed,
 						KernelClass: class,
+						Events:      &events,
 					})
 					return harness.Output{
 						Value:    SchedCmpMatmulCell{Class: class, Factor: f, Result: res},
 						SimTime:  res.Elapsed,
 						TimedOut: res.TimedOut,
+						Events:   events,
 					}
 				},
 			})
@@ -157,6 +160,7 @@ func SchedCmpJobs(cfg SchedCmpConfig) []harness.Job {
 						Value:    SchedCmpServiceCell{Class: class, Factor: f, Result: res},
 						SimTime:  res.Elapsed,
 						TimedOut: res.TimedOut,
+						Events:   res.Events,
 					}
 				},
 			})

@@ -189,10 +189,46 @@ type SpinWait struct {
 	Spins    int
 	YieldDue bool
 	Done     bool
+
+	// self is the waiting thread, looked up once when the wait starts.
+	self *Pthread
 }
 
-// SpinWait returns the calling thread's busy-wait slot.
-func (l *Lib) SpinWait() *SpinWait { return &l.Self().spin }
+// BindSpinWait starts a busy-wait on the calling thread: it looks the
+// thread up (and so checks the caller) once, stores w in the thread's
+// busy-wait slot with Lib set to l, and returns the slot. The slot's
+// methods then reach the thread without another lookup; the kernel and
+// nOS-V still check on every call that the thread itself is running.
+func (l *Lib) BindSpinWait(w SpinWait) *SpinWait {
+	pt := l.Self()
+	w.Lib, w.self = l, pt
+	pt.spin = w
+	return &pt.spin
+}
+
+// SchedYield is Lib.SchedYield for the waiting thread.
+func (w *SpinWait) SchedYield() { w.Lib.schedYield(w.self) }
+
+// SchedYieldWouldPark reports, without side effects, whether SchedYield
+// called now could park the waiting thread. A false answer is a promise
+// that it will not, so a resume step may then call SchedYield.
+func (w *SpinWait) SchedYieldWouldPark() bool {
+	if w.Lib.Inst != nil {
+		return w.Lib.Inst.YieldWouldPark(w.self.task)
+	}
+	return w.self.KT.YieldWouldPark()
+}
+
+// StartCompute begins d of CPU work on the waiting thread without waiting
+// for it (see kernel.Thread.StartCompute) and reports whether the thread
+// must park.
+func (w *SpinWait) StartCompute(d sim.Duration) bool {
+	return w.self.KT.StartCompute(d, kernel.ComputeOpts{})
+}
+
+// ParkStep parks the waiting thread with step(w) as its resume step (see
+// kernel.Thread.ParkStep).
+func (w *SpinWait) ParkStep(step func(any) bool) { w.self.KT.ParkStep(step, w) }
 
 // Task returns the pthread's bound nOS-V task (nil under the standard
 // backend).
@@ -352,25 +388,15 @@ func (l *Lib) Shutdown() {
 
 // SchedYield implements sched_yield: under glibcv it becomes a nOS-V yield
 // (an immediate, targeted switch); otherwise the kernel's lazy yield.
-func (l *Lib) SchedYield() {
+func (l *Lib) SchedYield() { l.schedYield(l.Self()) }
+
+func (l *Lib) schedYield(self *Pthread) {
 	l.Stats.Yields++
-	self := l.Self()
 	if l.Inst != nil {
 		l.Inst.Yield(self.task)
 		return
 	}
 	self.KT.Yield()
-}
-
-// SchedYieldWouldPark reports, without side effects, whether SchedYield
-// called now could park the calling thread. A false answer is a promise
-// that it will not, so a resume step may then call SchedYield.
-func (l *Lib) SchedYieldWouldPark() bool {
-	self := l.Self()
-	if l.Inst != nil {
-		return l.Inst.YieldWouldPark(self.task)
-	}
-	return self.KT.YieldWouldPark()
 }
 
 // Sleep blocks the calling thread for d. Under glibcv the core is handed
@@ -410,16 +436,6 @@ func (l *Lib) GetAffinity(pt *Pthread) kernel.Mask {
 
 // Compute is a convenience passthrough so workloads hold one handle.
 func (l *Lib) Compute(d sim.Duration) { l.Self().KT.Compute(d) }
-
-// StartCompute begins d of CPU work without waiting for it (see
-// kernel.Thread.StartCompute) and reports whether the caller must park.
-func (l *Lib) StartCompute(d sim.Duration) bool {
-	return l.Self().KT.StartCompute(d, kernel.ComputeOpts{})
-}
-
-// ParkStep parks the calling thread with a resume step armed (see
-// kernel.Thread.ParkStep).
-func (l *Lib) ParkStep(step func(any) bool, arg any) { l.Self().KT.ParkStep(step, arg) }
 
 // ComputeOpts is Compute with bandwidth/footprint qualifiers.
 func (l *Lib) ComputeOpts(d sim.Duration, o kernel.ComputeOpts) {

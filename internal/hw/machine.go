@@ -11,7 +11,10 @@ import (
 )
 
 // Topology describes the CPU layout. Cores are numbered 0..Cores()-1,
-// socket-major: core c belongs to socket c / CoresPerSocket.
+// socket-major: core c belongs to socket c / CoresPerSocket. A socket's
+// NUMA nodes split it into equal runs of consecutive cores (Validate
+// requires NUMAPerSocket to divide CoresPerSocket), so every NUMA node is
+// a contiguous core range; see NUMARange.
 type Topology struct {
 	Sockets        int
 	CoresPerSocket int
@@ -33,6 +36,17 @@ func (t Topology) SocketOf(c int) int { return c / t.CoresPerSocket }
 func (t Topology) NUMAOf(c int) int {
 	perNode := t.CoresPerSocket / t.NUMAPerSocket
 	return c / perNode
+}
+
+// NUMARange returns the cores of c's NUMA node as the half-open range
+// [lo, hi). Per-core loops that prefer c's node walk [lo, hi) and then
+// [0, lo) and [hi, Cores()) for the remote cores, which visits the cores
+// in the same ascending order as filtering 0..Cores()-1 by SameNUMA, with
+// one division per call instead of two per core.
+func (t Topology) NUMARange(c int) (lo, hi int) {
+	perNode := t.CoresPerSocket / t.NUMAPerSocket
+	lo = c - c%perNode
+	return lo, lo + perNode
 }
 
 // SameSocket reports whether cores a and b share a socket.

@@ -104,3 +104,45 @@ func TestSocketOfNUMAOfConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNUMARangeMatchesSameNUMA: for every topology the tests use (the
+// presets, their shrunken single-socket variants, the sub-NUMA shape)
+// and every small valid shape besides, NUMARange(c) is exactly the set
+// {d : SameNUMA(c, d)}.
+func TestNUMARangeMatchesSameNUMA(t *testing.T) {
+	topos := []Topology{
+		MareNostrum5().Topo,
+		SmallNode().Topo,
+		DualSocket16().Topo,
+		{Sockets: 1, CoresPerSocket: 1, NUMAPerSocket: 1},
+		{Sockets: 1, CoresPerSocket: 2, NUMAPerSocket: 1},
+		{Sockets: 1, CoresPerSocket: 4, NUMAPerSocket: 1},
+		{Sockets: 1, CoresPerSocket: 28, NUMAPerSocket: 1},
+		{Sockets: 2, CoresPerSocket: 4, NUMAPerSocket: 1},
+		{Sockets: 2, CoresPerSocket: 8, NUMAPerSocket: 2},
+	}
+	for s := 1; s <= 4; s++ {
+		for cps := 1; cps <= 16; cps++ {
+			for nps := 1; nps <= cps; nps++ {
+				if cps%nps == 0 {
+					topos = append(topos, Topology{Sockets: s, CoresPerSocket: cps, NUMAPerSocket: nps})
+				}
+			}
+		}
+	}
+	for _, topo := range topos {
+		n := topo.Cores()
+		for c := 0; c < n; c++ {
+			lo, hi := topo.NUMARange(c)
+			if lo < 0 || hi > n || lo > c || c >= hi {
+				t.Fatalf("%+v: NUMARange(%d) = [%d, %d) does not hold core %d inside [0, %d)", topo, c, lo, hi, c, n)
+			}
+			for d := 0; d < n; d++ {
+				if in := d >= lo && d < hi; in != topo.SameNUMA(c, d) {
+					t.Fatalf("%+v: core %d in NUMARange(%d) = [%d, %d) is %v, SameNUMA is %v",
+						topo, d, c, lo, hi, in, topo.SameNUMA(c, d))
+				}
+			}
+		}
+	}
+}

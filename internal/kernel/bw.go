@@ -1,6 +1,10 @@
 package kernel
 
-import "repro/internal/sim"
+import (
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // bwManager models the shared per-socket memory bandwidth. Running compute
 // segments register their demand; when a socket's aggregate demand exceeds
@@ -14,14 +18,16 @@ type bwManager struct {
 
 type socketBW struct {
 	id     int
-	demand float64           // sum of registered demands, bytes/ns
-	segs   map[*Thread]*Core // running bandwidth-consuming segments
+	demand float64 // sum of registered demands, bytes/ns
+	// segs holds the threads of the running bandwidth-consuming
+	// segments, sorted by TID so retiming walks them in a fixed order.
+	segs []*Thread
 }
 
 func newBWManager(k *Kernel) *bwManager {
 	m := &bwManager{k: k}
 	for s := 0; s < k.HW.Topo.Sockets; s++ {
-		m.sockets = append(m.sockets, &socketBW{id: s, segs: make(map[*Thread]*Core)})
+		m.sockets = append(m.sockets, &socketBW{id: s})
 	}
 	return m
 }
@@ -34,21 +40,33 @@ func (m *bwManager) scale(s *socketBW) float64 {
 	return cap / s.demand
 }
 
+// find returns the index of t in s.segs, or the index where it belongs,
+// and whether it is there.
+func (s *socketBW) find(t *Thread) (int, bool) {
+	i := 0
+	for i < len(s.segs) && s.segs[i].TID < t.TID {
+		i++
+	}
+	return i, i < len(s.segs) && s.segs[i] == t
+}
+
 // register starts accounting for t's current segment on c's socket, sets
 // the segment speed, and (re)schedules completion events for every segment
 // sharing the socket.
 func (m *bwManager) register(c *Core, t *Thread) {
-	s := m.sockets[m.k.HW.Topo.SocketOf(c.id)]
 	if t.seg.bw > 0 {
+		s := m.sockets[m.k.HW.Topo.SocketOf(c.id)]
 		s.demand += t.seg.bw
-		s.segs[t] = c
+		if i, ok := s.find(t); !ok {
+			s.segs = slices.Insert(s.segs, i, t)
+		}
 		m.retimeSocket(s)
 		m.sample(s)
 		return
 	}
 	// CPU-bound segment: unaffected by the socket, time it directly.
 	t.seg.speed = 1
-	m.retime(c, t)
+	m.retime(t)
 }
 
 // deregister stops accounting for t's segment.
@@ -57,10 +75,11 @@ func (m *bwManager) deregister(c *Core, t *Thread) {
 		return
 	}
 	s := m.sockets[m.k.HW.Topo.SocketOf(c.id)]
-	if _, ok := s.segs[t]; !ok {
+	i, ok := s.find(t)
+	if !ok {
 		return
 	}
-	delete(s.segs, t)
+	s.segs = slices.Delete(s.segs, i, i+1)
 	s.demand -= t.seg.bw
 	if s.demand < 0 {
 		s.demand = 0
@@ -70,28 +89,20 @@ func (m *bwManager) deregister(c *Core, t *Thread) {
 }
 
 // retimeSocket folds progress and recomputes speeds and completion events
-// for all bandwidth-consuming segments on the socket. Iteration is ordered
-// by tid so event scheduling stays deterministic.
+// for all bandwidth-consuming segments on the socket, in ascending TID
+// order so event scheduling stays deterministic.
 func (m *bwManager) retimeSocket(s *socketBW) {
 	sc := m.scale(s)
-	order := make([]*Thread, 0, len(s.segs))
-	for t := range s.segs { //lint:allow maprange(keys are insertion-sorted by TID immediately below)
-		order = append(order, t)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].TID < order[j-1].TID; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, t := range order {
-		t.seg.advance(m.k.Eng.Now())
+	now := m.k.Eng.Now()
+	for _, t := range s.segs {
+		t.seg.advance(now)
 		t.seg.speed = sc
-		m.retime(s.segs[t], t)
+		m.retime(t)
 	}
 }
 
 // retime (re)schedules the completion event for t's running segment.
-func (m *bwManager) retime(c *Core, t *Thread) {
+func (m *bwManager) retime(t *Thread) {
 	seg := t.seg
 	seg.endEv.Cancel()
 	seg.endEv = sim.Event{}

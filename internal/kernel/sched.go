@@ -494,15 +494,17 @@ func (k *Kernel) maybeWakeupPreempt(c *Core, t *Thread) {
 // core in the same NUMA node, then any idle core, then the least loaded
 // core, always respecting affinity.
 func (k *Kernel) selectCore(t *Thread) *Core {
-	topo := k.HW.Topo
 	idle := func(c *Core) bool { return c.curr == nil && c.queued() == 0 }
 
 	if t.lastCore >= 0 && t.affinity.Has(t.lastCore) && idle(k.cores[t.lastCore]) {
 		return k.cores[t.lastCore]
 	}
 	if t.lastCore >= 0 {
-		for _, c := range k.cores {
-			if c.id != t.lastCore && topo.SameNUMA(c.id, t.lastCore) && t.affinity.Has(c.id) && idle(c) {
+		// The last core's NUMA node, in ascending order; the last core
+		// itself fails the test again.
+		lo, hi := k.HW.Topo.NUMARange(t.lastCore)
+		for _, c := range k.cores[lo:hi] {
+			if t.affinity.Has(c.id) && idle(c) {
 				return c
 			}
 		}

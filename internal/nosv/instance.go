@@ -29,6 +29,9 @@ type Instance struct {
 	K      *kernel.Kernel
 	Key    string
 	policy Policy
+	// yieldAware is policy's YieldAware side, nil when it has none,
+	// resolved once so a yield makes no interface type assertion.
+	yieldAware YieldAware
 
 	slots     []*Task       // current task per core, nil = idle slot
 	coreMasks []kernel.Mask // single-core pin masks, built once per instance
@@ -71,6 +74,7 @@ func OpenSegment(k *kernel.Kernel, key string, proc *kernel.Process, mkPolicy fu
 		for c := range in.coreMasks {
 			in.coreMasks[c] = kernel.NewMask(c)
 		}
+		in.yieldAware, _ = in.policy.(YieldAware)
 		in.policy.Bind(in)
 		reg[key] = in
 	}
@@ -234,7 +238,7 @@ func (in *Instance) Yield(t *Task) {
 	t.state = TaskReady
 	in.slots[core] = nil
 	var next *Task
-	if ya, ok := in.policy.(YieldAware); ok {
+	if ya := in.yieldAware; ya != nil {
 		in.policy.Ready(t, true)
 		next = ya.NextAfterYield(core, t)
 	} else {
@@ -277,8 +281,8 @@ func (in *Instance) Yield(t *Task) {
 // now could park t's worker: only a YieldAware policy can promise that
 // the yield re-picks t, so under any other policy the answer is true.
 func (in *Instance) YieldWouldPark(t *Task) bool {
-	ya, ok := in.policy.(YieldAware)
-	return !ok || !ya.YieldRepicks(t.prefCore, t)
+	ya := in.yieldAware
+	return ya == nil || !ya.YieldRepicks(t.prefCore, t)
 }
 
 // Complete marks the running task finished and frees its core. The worker

@@ -71,11 +71,10 @@ func UntilFunc(l *glibc.Lib, cond func(arg any, n int) bool, arg any, n int, yie
 	if cond(arg, n) {
 		return
 	}
-	w := l.SpinWait()
-	*w = glibc.SpinWait{Lib: l, Cond: cond, Arg: arg, N: n, Yield: yield}
-	l.StartCompute(chunk(0, yield))
+	w := l.BindSpinWait(glibc.SpinWait{Cond: cond, Arg: arg, N: n, Yield: yield})
+	w.StartCompute(chunk(0, yield))
 	for {
-		l.ParkStep(pollStep, w)
+		w.ParkStep(pollStep)
 		if w.Done || !poll(w, false) {
 			break
 		}
@@ -98,11 +97,11 @@ func poll(w *glibc.SpinWait, inStep bool) bool {
 		w.YieldDue = w.Yield && w.Spins%2 == 0
 	}
 	if w.YieldDue {
-		if inStep && w.Lib.SchedYieldWouldPark() {
+		if inStep && w.SchedYieldWouldPark() {
 			return false
 		}
 		w.YieldDue = false
-		w.Lib.SchedYield()
+		w.SchedYield()
 	}
 	if w.Cond(w.Arg, w.N) {
 		w.Done = true
@@ -110,7 +109,7 @@ func poll(w *glibc.SpinWait, inStep bool) bool {
 	}
 	// Bursts are never empty, so a burst always starts and the thread
 	// parks until it ends.
-	w.Lib.StartCompute(chunk(w.Spins, w.Yield))
+	w.StartCompute(chunk(w.Spins, w.Yield))
 	return true
 }
 

@@ -43,16 +43,17 @@ type CoopStats struct {
 }
 
 // SchedCoop implements nosv.Policy with the paper's cooperative policy.
+// Per-process state is indexed by kernel Pid, which the kernel hands out
+// densely from 1, and a self-yield with nothing else queued (a busy-wait
+// poll) costs O(1): Next answers an empty system from the queued counter.
 type SchedCoop struct {
 	cfg  CoopConfig
 	in   *nosv.Instance
 	topo hw.Topology
 
-	// queues[pid][core] is the per-process per-core FIFO of ready tasks.
-	queues  map[kernel.Pid][][]*nosv.Task
-	pending map[kernel.Pid]int
-	queued  int          // sum of pending: every queued task, any process
-	pids    []kernel.Pid // rotation ring, registration order
+	procs  []coopProc   // by Pid; grown when a process first queues a task
+	queued int          // sum of pending: every queued task, any process
+	pids   []kernel.Pid // rotation ring, registration order
 
 	curPid     []kernel.Pid // per core: process currently being served
 	sliceStart []sim.Time   // per core: when that process's quantum began
@@ -61,16 +62,21 @@ type SchedCoop struct {
 	Stats CoopStats
 }
 
+// coopProc is one process's queue state.
+type coopProc struct {
+	// queues[core] is the process's FIFO of ready tasks homed on core;
+	// nil until the process first queues a task, which registers it.
+	queues  [][]*nosv.Task
+	pending int // tasks across queues
+	ring    int // the process's slot in pids
+}
+
 // NewSchedCoop returns a SCHED_COOP policy with the given configuration.
 func NewSchedCoop(cfg CoopConfig) *SchedCoop {
 	if cfg.ProcessQuantum <= 0 {
 		cfg.ProcessQuantum = 20 * sim.Millisecond
 	}
-	return &SchedCoop{
-		cfg:     cfg,
-		queues:  make(map[kernel.Pid][][]*nosv.Task),
-		pending: make(map[kernel.Pid]int),
-	}
+	return &SchedCoop{cfg: cfg}
 }
 
 // Name implements nosv.Policy.
@@ -85,14 +91,31 @@ func (p *SchedCoop) Bind(in *nosv.Instance) {
 	p.sliceStart = make([]sim.Time, n)
 }
 
-func (p *SchedCoop) queuesFor(pid kernel.Pid) [][]*nosv.Task {
-	q, ok := p.queues[pid]
-	if !ok {
-		q = make([][]*nosv.Task, p.in.NumCores())
-		p.queues[pid] = q
+// proc returns pid's state, or nil when pid has never queued a task.
+func (p *SchedCoop) proc(pid kernel.Pid) *coopProc {
+	if int(pid) < len(p.procs) && p.procs[pid].queues != nil {
+		return &p.procs[pid]
+	}
+	return nil
+}
+
+// enqueue appends t to its process's FIFO on core home, registering the
+// process at the end of the rotation ring on first use.
+func (p *SchedCoop) enqueue(t *nosv.Task, home int) {
+	pid := t.Pid
+	if int(pid) >= len(p.procs) {
+		p.procs = append(p.procs, make([]coopProc, int(pid)+1-len(p.procs))...)
+	}
+	cp := &p.procs[pid]
+	if cp.queues == nil {
+		cp.queues = make([][]*nosv.Task, p.in.NumCores())
+		cp.ring = len(p.pids)
 		p.pids = append(p.pids, pid)
 	}
-	return q
+	t.SetQueuedAt(home)
+	cp.queues[home] = append(cp.queues[home], t)
+	cp.pending++
+	p.queued++
 }
 
 // Ready implements nosv.Policy: place on an idle core (own, same-NUMA,
@@ -106,7 +129,6 @@ func (p *SchedCoop) Ready(t *nosv.Task, yield bool) int {
 			return c
 		}
 	}
-	q := p.queuesFor(t.Pid)
 	home := pref
 	if home < 0 {
 		// Never-run tasks have no affinity yet: spread them round-robin
@@ -114,14 +136,12 @@ func (p *SchedCoop) Ready(t *nosv.Task, yield bool) int {
 		home = p.nextHome
 		p.nextHome = (p.nextHome + 1) % p.in.NumCores()
 	}
-	t.SetQueuedAt(home)
-	q[home] = append(q[home], t)
-	p.pending[t.Pid]++
-	p.queued++
+	p.enqueue(t, home)
 	return -1
 }
 
 // findIdle searches for an idle core: preferred, same NUMA, anywhere.
+// The NUMA pass may include pref itself: it is busy by then.
 func (p *SchedCoop) findIdle(pref int) int {
 	in := p.in
 	if p.cfg.DisableAffinity || pref < 0 {
@@ -130,14 +150,20 @@ func (p *SchedCoop) findIdle(pref int) int {
 	if in.IsIdle(pref) {
 		return pref
 	}
-	n := in.NumCores()
-	for c := 0; c < n; c++ {
-		if c != pref && p.topo.SameNUMA(c, pref) && in.IsIdle(c) {
-			return c
-		}
+	lo, hi := p.topo.NUMARange(pref)
+	if c := p.idleIn(lo, hi); c >= 0 {
+		return c
 	}
-	for c := 0; c < n; c++ {
-		if !p.topo.SameNUMA(c, pref) && in.IsIdle(c) {
+	if c := p.idleIn(0, lo); c >= 0 {
+		return c
+	}
+	return p.idleIn(hi, in.NumCores())
+}
+
+// idleIn returns the lowest idle core in [lo, hi), or -1.
+func (p *SchedCoop) idleIn(lo, hi int) int {
+	for c := lo; c < hi; c++ {
+		if p.in.IsIdle(c) {
 			return c
 		}
 	}
@@ -148,28 +174,30 @@ func (p *SchedCoop) findIdle(pref int) int {
 // quantum expires or it runs dry, then rotate to the next process with
 // pending work.
 func (p *SchedCoop) Next(core int) *nosv.Task {
+	if p.queued == 0 {
+		return nil
+	}
 	now := p.in.Now()
 	cur := p.curPid[core]
-	if cur != 0 && p.pending[cur] > 0 && now.Sub(p.sliceStart[core]) < p.cfg.ProcessQuantum {
-		if t := p.pickFor(cur, core); t != nil {
-			return t
-		}
-	}
-	// Rotate through the process ring, starting after the current one.
 	start := 0
-	for i, pid := range p.pids {
-		if pid == cur {
-			start = i + 1
-			break
+	if cp := p.proc(cur); cp != nil { // pid 0, no process yet, has no state
+		if cp.pending > 0 && now.Sub(p.sliceStart[core]) < p.cfg.ProcessQuantum {
+			if t := p.pickFor(cp, core); t != nil {
+				return t
+			}
 		}
+		// Rotate through the process ring, starting after the current
+		// one.
+		start = cp.ring + 1
 	}
 	n := len(p.pids)
 	for i := 0; i < n; i++ {
 		pid := p.pids[(start+i)%n]
-		if p.pending[pid] == 0 {
+		cp := &p.procs[pid]
+		if cp.pending == 0 {
 			continue
 		}
-		if t := p.pickFor(pid, core); t != nil {
+		if t := p.pickFor(cp, core); t != nil {
 			if pid != cur {
 				p.Stats.QuantumRotations++
 			}
@@ -181,50 +209,60 @@ func (p *SchedCoop) Next(core int) *nosv.Task {
 	return nil
 }
 
-// pickFor pops a queued task of pid suitable for core, honouring the
-// core→NUMA→any affinity order.
-func (p *SchedCoop) pickFor(pid kernel.Pid, core int) *nosv.Task {
-	q := p.queues[pid]
-	if q == nil {
-		return nil
-	}
-	// pop shifts the queue in place (rather than re-slicing the head
-	// away) so the backing array is stable and enqueue/pick cycles do
-	// not reallocate it.
-	pop := func(c int) *nosv.Task {
-		t := q[c][0]
-		n := copy(q[c], q[c][1:])
-		q[c][n] = nil
-		q[c] = q[c][:n]
-		p.pending[pid]--
-		p.queued--
-		return t
-	}
+// pickFor pops a queued task of cp suitable for core, honouring the
+// core→NUMA→any affinity order. The NUMA pass may include core itself:
+// its FIFO is empty by then.
+func (p *SchedCoop) pickFor(cp *coopProc, core int) *nosv.Task {
+	q := cp.queues
 	if p.cfg.DisableAffinity {
-		for c := range q {
-			if len(q[c]) > 0 {
-				return pop(c)
-			}
+		if c := queuedIn(q, 0, len(q)); c >= 0 {
+			return p.pop(cp, c)
 		}
 		return nil
 	}
 	if len(q[core]) > 0 {
 		p.Stats.LocalPicks++
-		return pop(core)
+		return p.pop(cp, core)
 	}
-	for c := range q {
-		if c != core && p.topo.SameNUMA(c, core) && len(q[c]) > 0 {
-			p.Stats.NUMAPicks++
-			return pop(c)
-		}
+	lo, hi := p.topo.NUMARange(core)
+	if c := queuedIn(q, lo, hi); c >= 0 {
+		p.Stats.NUMAPicks++
+		return p.pop(cp, c)
 	}
-	for c := range q {
-		if !p.topo.SameNUMA(c, core) && len(q[c]) > 0 {
-			p.Stats.RemotePicks++
-			return pop(c)
-		}
+	c := queuedIn(q, 0, lo)
+	if c < 0 {
+		c = queuedIn(q, hi, len(q))
+	}
+	if c >= 0 {
+		p.Stats.RemotePicks++
+		return p.pop(cp, c)
 	}
 	return nil
+}
+
+// queuedIn returns the lowest core in [lo, hi) with a non-empty FIFO in
+// q, or -1.
+func queuedIn(q [][]*nosv.Task, lo, hi int) int {
+	for c := lo; c < hi; c++ {
+		if len(q[c]) > 0 {
+			return c
+		}
+	}
+	return -1
+}
+
+// pop removes the head of cp's FIFO on core c. It shifts the queue in
+// place (rather than re-slicing the head away) so the backing array is
+// stable and enqueue/pick cycles do not reallocate it.
+func (p *SchedCoop) pop(cp *coopProc, c int) *nosv.Task {
+	q := cp.queues[c]
+	t := q[0]
+	n := copy(q, q[1:])
+	q[n] = nil
+	cp.queues[c] = q[:n]
+	cp.pending--
+	p.queued--
+	return t
 }
 
 // NextAfterYield implements nosv.YieldAware: a yielding (busy-waiting)
@@ -240,15 +278,11 @@ func (p *SchedCoop) NextAfterYield(core int, y *nosv.Task) *nosv.Task {
 	if alt := p.Next(core); alt != nil {
 		// Requeue the yielder behind its siblings and run the
 		// alternative.
-		q := p.queuesFor(y.Pid)
 		home := y.PrefCore()
 		if home < 0 {
 			home = core
 		}
-		y.SetQueuedAt(home)
-		q[home] = append(q[home], y)
-		p.pending[y.Pid]++
-		p.queued++
+		p.enqueue(y, home)
 		return alt
 	}
 	return y
@@ -270,10 +304,11 @@ func (p *SchedCoop) notePick(core int, pid kernel.Pid) {
 
 // Remove implements nosv.Policy.
 func (p *SchedCoop) Remove(t *nosv.Task) {
-	q := p.queues[t.Pid]
-	if q == nil {
+	cp := p.proc(t.Pid)
+	if cp == nil {
 		return
 	}
+	q := cp.queues
 	c := t.QueuedAt()
 	if c < 0 || c >= len(q) {
 		return
@@ -282,7 +317,7 @@ func (p *SchedCoop) Remove(t *nosv.Task) {
 		if x == t {
 			copy(q[c][i:], q[c][i+1:])
 			q[c] = q[c][:len(q[c])-1]
-			p.pending[t.Pid]--
+			cp.pending--
 			p.queued--
 			return
 		}
