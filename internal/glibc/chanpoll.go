@@ -37,7 +37,7 @@ func libOf(k *kernel.Kernel) *Lib {
 	if kt == nil {
 		panic("glibc: channel op outside thread context")
 	}
-	l, _ := kt.Proc.Local["glibc"].(*Lib)
+	l, _ := kt.Proc.Libc.(*Lib)
 	if l == nil {
 		panic("glibc: calling process has no glibc instance")
 	}
@@ -67,7 +67,7 @@ func (ch *Chan) Send(v any) {
 }
 
 func instOfTask(t *nosv.Task) *nosv.Instance {
-	l, _ := t.Worker().KT.Proc.Local["glibc"].(*Lib)
+	l, _ := t.Worker().KT.Proc.Libc.(*Lib)
 	return l.Inst
 }
 

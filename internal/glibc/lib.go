@@ -98,7 +98,7 @@ func NewLib(k *kernel.Kernel, proc *kernel.Process, opts Options) (*Lib, error) 
 		l.CacheEnabled = !opts.DisableThreadCache
 		l.TaskAwareIO = opts.TaskAwareIO
 	}
-	proc.Local["glibc"] = l
+	proc.Libc = l
 	return l, nil
 }
 

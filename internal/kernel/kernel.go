@@ -129,9 +129,9 @@ type Kernel struct {
 	// bandwidth changes: (time, socket, bytes/ns actually flowing).
 	BWSample func(at sim.Time, socket int, used float64)
 
-	// Local carries machine-wide upper-layer state (e.g. the registry of
-	// nOS-V shared-memory segments), keyed by subsystem name.
-	Local map[string]any
+	// Segments is the machine's registry of nOS-V shared-memory
+	// segments, owned by package nosv (which the kernel cannot name).
+	Segments any
 
 	// Tracer, when non-nil, records scheduling events (dispatches,
 	// blocks, wakes) for offline inspection.
@@ -152,7 +152,6 @@ func New(eng *sim.Engine, cfg hw.Config, params SchedParams) *Kernel {
 		Params:  params,
 		procs:   make(map[Pid]*Process),
 		threads: make(map[Tid]*Thread),
-		Local:   make(map[string]any),
 	}
 	k.classes = newClasses(k)
 	k.classByName = make(map[string]Class, len(k.classes))
@@ -218,20 +217,19 @@ type Process struct {
 	threads []*Thread
 	exited  bool
 
-	// Local lets upper layers (glibc, nOS-V) attach per-process state
-	// without the kernel knowing their types.
-	Local map[string]any
+	// Libc is the process's C library instance (a *glibc.Lib), typed
+	// any because the kernel cannot import its upper layers.
+	Libc any
 }
 
 // NewProcess creates a process.
 func (k *Kernel) NewProcess(name string) *Process {
 	k.nextPid++
 	p := &Process{
-		PID:   k.nextPid,
-		Name:  name,
-		kern:  k,
-		Env:   make(map[string]string),
-		Local: make(map[string]any),
+		PID:  k.nextPid,
+		Name: name,
+		kern: k,
+		Env:  make(map[string]string),
 	}
 	k.procs[p.PID] = p
 	return p

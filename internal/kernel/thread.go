@@ -132,14 +132,9 @@ type Thread struct {
 
 	// CPUTime accumulates wall time spent current on a core.
 	CPUTime sim.Duration
-	// TLS is the dominant per-thread upper-layer binding (the glibc
-	// pthread state), promoted out of Local to a typed slot because it
-	// is read on every simulated libc call. Rarer per-thread state goes
-	// in Local.
+	// TLS is the per-thread upper-layer binding (the glibc pthread
+	// state), read on every simulated libc call.
 	TLS any
-	// Local carries additional upper-layer per-thread state (nOS-V
-	// worker, runtime TLS), keyed by subsystem name.
-	Local map[string]any
 }
 
 func (t *Thread) String() string { return fmt.Sprintf("tid %d (%s)", t.TID, t.Name) }
@@ -197,7 +192,6 @@ func (k *Kernel) SpawnThread(p *Process, name string, fn func(t *Thread)) *Threa
 		curCore:  -1,
 		lastCore: -1,
 		rqIdx:    -1,
-		Local:    make(map[string]any),
 	}
 	k.threads[t.TID] = t
 	p.threads = append(p.threads, t)

@@ -48,16 +48,14 @@ type procConn struct {
 	tasks map[*Task]struct{}
 }
 
-const segRegistryKey = "nosv.segments"
-
 // OpenSegment connects proc to the shared segment named key, creating it
 // (with the supplied policy) on first open. Mirroring nOS-V's security
 // rule, only processes with the creator's uid and gid may connect.
 func OpenSegment(k *kernel.Kernel, key string, proc *kernel.Process, mkPolicy func() Policy) (*Instance, error) {
-	reg, _ := k.Local[segRegistryKey].(map[string]*Instance)
+	reg, _ := k.Segments.(map[string]*Instance)
 	if reg == nil {
 		reg = make(map[string]*Instance)
-		k.Local[segRegistryKey] = reg
+		k.Segments = reg
 	}
 	in, ok := reg[key]
 	if !ok {

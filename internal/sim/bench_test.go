@@ -146,7 +146,7 @@ func BenchmarkSpawnExit(b *testing.B) {
 // 32.768µs quantised timeline grid from the resilience layer. Per
 // benchmark op: one closure-free schedule plus its fire, against a
 // standing population that scales with the node count — exactly where
-// the heap's O(log n) used to bite.
+// a heap's O(log n) would bite.
 func benchDenseFleetTimers(b *testing.B, nodes int) {
 	e := NewEngine(1)
 	nop := func(any) {}
@@ -173,8 +173,8 @@ func BenchmarkDenseTimersNode64(b *testing.B) { benchDenseFleetTimers(b, 64) }
 // standing population of pending retry/futex deadlines, with each op
 // scheduling a new timeout and cancelling it before it fires (the
 // overwhelmingly common case — timeouts exist to not expire). Wheel
-// insert and cancel are both O(1); the heap paid O(log n) twice against
-// the full population.
+// insert and cancel are both O(1); a heap would pay O(log n) twice
+// against the full population.
 func BenchmarkCancelStorm(b *testing.B) {
 	e := NewEngine(1)
 	nop := func(any) {}

@@ -2,7 +2,7 @@ package sim
 
 import "testing"
 
-// Differential test: the three-tier queue (wheel/ring/heap) against a
+// Differential test: the two-tier queue (ring/wheel with its due run) against a
 // naive reference engine — an unordered slice scanned for the minimum
 // (at, seq) on every fire. Both sides run the same randomized program of
 // At/AtFunc/Cancel/Run/RunWindow ops, including events that schedule
@@ -10,7 +10,7 @@ import "testing"
 // sequences and the pending counts must match exactly. This catches
 // merge bugs between the tiers that the unit tests can't enumerate:
 // cascade-order mistakes, cursor/bound off-by-ones, drains racing ring
-// heads, due-run ties against late heap inserts, stale idx encodings.
+// heads, late inserts misplaced in the due run, stale idx encodings.
 
 // refEvent is one scheduled callback in the reference engine.
 type refEvent struct {
@@ -117,9 +117,14 @@ func genDiffProgram(r *Rand, n int) []diffOp {
 			ops[i] = diffOp{kind: 3, delta: int64(wheelDelta(r))}
 		default:
 			// Right after a peek has drained the next slot into the due
-			// run: this lands behind the wheel cursor (a heap late
-			// insert), mostly on the run head's own instant.
-			ops[i] = diffOp{kind: 4, delta: int64(r.Intn(3) / 2),
+			// run: this lands behind the wheel cursor (a late insert),
+			// mostly on the run head's own instant, else anywhere in the
+			// slot, so it joins the run at its tail or in its middle.
+			delta := int64(r.Intn(3) / 2)
+			if r.Intn(3) == 0 {
+				delta = int64(r.Intn(1 << wheelShift))
+			}
+			ops[i] = diffOp{kind: 4, delta: delta,
 				chain: r.Intn(4) == 0, cancels: r.Intn(6) == 0, target: r.Intn(1 << 16)}
 		}
 	}
@@ -140,14 +145,9 @@ type fireRec struct {
 }
 
 // runDiffReal interprets the program against the real engine, checking
-// the queue invariants after every op; gateOff forces every eligible
-// event through the wheel (the density gate's placement choice must be
-// unobservable either way).
-func runDiffReal(t *testing.T, ops []diffOp, gateOff bool) (fired []fireRec, pendings []int) {
+// the queue invariants after every op.
+func runDiffReal(t *testing.T, ops []diffOp) (fired []fireRec, pendings []int) {
 	e := NewEngine(1)
-	if gateOff {
-		e.wheelGate = 0
-	}
 	var handles []Event
 	nextID := 0
 	var scheduleReal func(at Time, chain, cancels bool, target int)
@@ -247,7 +247,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	rng := NewRand(20260808)
 	for prog := 0; prog < 60; prog++ {
 		ops := genDiffProgram(rng.Stream("prog"), 300)
-		gotF, gotP := runDiffReal(t, ops, prog%2 == 0)
+		gotF, gotP := runDiffReal(t, ops)
 		wantF, wantP := runDiffRef(ops)
 		if len(gotF) != len(wantF) {
 			t.Fatalf("program %d: real fired %d events, reference %d", prog, len(gotF), len(wantF))

@@ -9,48 +9,31 @@ import "fmt"
 // locks.
 type Engine struct {
 	now  Time
-	heap eventHeap
 	seq  uint64
 	rng  *Rand
 	free []*event // recycled event storage; steady-state At allocates nothing
 
-	// wheel absorbs short-horizon future timers with O(1) insert/cancel.
-	// When its leading level-0 slot becomes current, the slot's events
-	// are sorted by (at, seq) into the due run (due[dueHead:]) and fire
-	// from there; peekNext merges the ring, run and heap heads. The heap
-	// keeps only far-future overflow (beyond the wheel horizon), events
-	// scheduled while the wheel gate is shut, and late inserts whose
-	// slot has already drained. See wheel.go.
+	// wheel holds every future event with O(1) insert/cancel. When its
+	// leading level-0 slot becomes current, the slot's events are sorted
+	// by (at, seq) into the due run (due[dueHead:]) and fire from there;
+	// late inserts, whose slot has already drained, join the run in
+	// order. See wheel.go.
 	wheel   timerWheel
 	due     []*event
 	dueHead int
 
-	// wheelGate is the population of the heap plus the unfired due run
-	// (due[dueHead:], where a cancelled entry counts until peekNext
-	// drops it) at which new events start routing into the wheel
-	// (wheelMinHeap; tests zero it to force wheel placement). Cascading
-	// costs a constant per event, which only beats the heap's O(log n)
-	// once the near-horizon population is dense; below the gate — a
-	// lone cross-shard message, a single self-rescheduling tick — the
-	// 4-ary heap is 2–3 levels deep and already optimal. Once open
-	// (wheel non-empty) the gate stays open until the wheel drains, so
-	// a dense phase is not split across tiers by heap-length wobble. Placement is unobservable either
-	// way: firing order is the (at, seq) total order regardless of
-	// tier, and the gate reads only deterministic engine state.
-	wheelGate int
-
 	// pending counts live queued events across every tier (wheel, due
-	// run, immediate ring, heap): incremented at enqueue, decremented at
-	// fire and at Cancel, so Pending is O(1).
+	// run, immediate ring): incremented at enqueue, decremented at fire
+	// and at Cancel, so Pending is O(1).
 	pending int
 
 	// imm is the immediate ring: events scheduled for the current
 	// instant (proc resumes, After(0) chains). Because the clock never
 	// runs backwards and seq increases, these arrive already sorted by
-	// (at, seq), so they bypass the heap entirely — an O(1) ring instead
-	// of O(log n) sifts for roughly half of all event traffic. peekNext
-	// merges the ring head with the run and heap heads by (at, seq),
-	// preserving the exact global firing order.
+	// (at, seq), so they skip the wheel entirely — an O(1) ring for
+	// roughly half of all event traffic. peekNext merges the ring head
+	// with the run head by (at, seq), preserving the exact global
+	// firing order.
 	imm     []*event
 	immHead int
 
@@ -70,10 +53,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose RNG streams derive from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
-		rng:       NewRand(seed),
-		wheelGate: wheelMinHeap,
-	}
+	return &Engine{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -111,9 +91,8 @@ func (e *Engine) recycle(ev *event) {
 }
 
 // enqueue routes a freshly allocated event to the immediate ring (events
-// for the current instant), the timing wheel (future events within its
-// horizon), or the heap (far-future overflow, plus late inserts whose
-// wheel slot has already drained into the due run).
+// for the current instant), the timing wheel (future events), or the due
+// run (late inserts, whose wheel slot has already drained).
 func (e *Engine) enqueue(ev *event) {
 	e.pending++
 	if ev.at == e.now {
@@ -121,13 +100,42 @@ func (e *Engine) enqueue(ev *event) {
 		e.imm = append(e.imm, ev)
 		return
 	}
-	if uint64(ev.at)>>wheelShift >= e.wheel.pos &&
-		(e.wheel.count > 0 || e.heap.len()+len(e.due)-e.dueHead >= e.wheelGate) &&
-		e.wheel.place(ev) {
+	if uint64(ev.at)>>wheelShift >= e.wheel.pos {
+		e.wheel.place(ev)
 		e.wheel.inserts++
 		return
 	}
-	e.heap.push(ev)
+	e.joinDue(ev)
+}
+
+// joinDue inserts a late event into the due run in (at, seq) order. It
+// usually belongs at the tail (fresh seq, often the run's own instant),
+// so the common case is an append; otherwise a binary search finds its
+// place and one copy opens the gap. A full array first drops its fired
+// prefix: when every firing run entry schedules a late insert, the run
+// never empties, and without the compaction its array would grow for as
+// long as that lasts.
+func (e *Engine) joinDue(ev *event) {
+	ev.idx = idxDue
+	run := e.due
+	if len(run) == cap(run) && e.dueHead > 0 {
+		run = run[:copy(run, run[e.dueHead:])]
+		e.dueHead = 0
+	}
+	run = append(run, ev)
+	if n := len(run) - 1; n > e.dueHead && before(ev, run[n-1]) {
+		lo, hi := e.dueHead, n-1
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); before(ev, run[m]) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		copy(run[lo+1:], run[lo:n])
+		run[lo] = ev
+	}
+	e.due = run
 }
 
 // At schedules fn to run at virtual time t (>= now). It returns a handle
@@ -182,9 +190,9 @@ func (e *Engine) Live() int { return e.live }
 
 // Pending reports the number of queued events — O(1), from a live-event
 // counter maintained at schedule, fire, and cancel. Cancelled events
-// never count: wheel and heap events are removed eagerly, ring and run
-// events are invalidated (and uncounted) at cancel and their storage
-// dropped at peek.
+// never count: wheel events are removed eagerly, ring and run events are
+// invalidated (and uncounted) at cancel and their storage dropped at
+// peek.
 func (e *Engine) Pending() int { return e.pending }
 
 // Stop makes Run return after the current event completes. The request
@@ -193,13 +201,12 @@ func (e *Engine) Pending() int { return e.pending }
 // immediately, at its current time, without processing any events.
 func (e *Engine) Stop() { e.stopped = true }
 
-// peekNext returns the next event to fire — the smallest of the ring,
-// due-run and heap heads by (at, seq) — or nil when no live event
-// remains. Dead (cancelled) ring and run entries reaching their head are
-// dropped here. When the run is exhausted and the wheel might hold the
-// earliest event, the wheel's next slot is drained into a fresh run
-// first, so the three-way merge yields exactly the (at, seq) order a
-// heap-only queue would produce.
+// peekNext returns the next event to fire — the smaller of the ring and
+// due-run heads by (at, seq) — or nil when no live event remains. Dead
+// (cancelled) ring and run entries reaching their head are dropped here.
+// When the run is exhausted and the wheel might hold the earliest event,
+// the wheel's next slot is drained into a fresh run first, so the
+// two-way merge yields exactly the global (at, seq) order.
 func (e *Engine) peekNext() *event {
 	for e.immHead < len(e.imm) && e.imm[e.immHead].idx == idxDead {
 		e.recycle(e.imm[e.immHead])
@@ -218,14 +225,9 @@ func (e *Engine) peekNext() *event {
 	if e.immHead < len(e.imm) {
 		best = e.imm[e.immHead]
 	}
-	if len(e.heap.ev) > 0 {
-		if hv := e.heap.ev[0]; best == nil || before(hv, best) {
-			best = hv
-		}
-	}
 	if e.dueHead == len(e.due) {
 		// Every wheel-resident event satisfies at >= wheel.pos<<wheelShift
-		// (see wheel.go), so a ring/heap head strictly below that bound
+		// (see wheel.go), so a ring head strictly below that bound
 		// wins outright; at or beyond it the next slot must drain (ties
 		// too: an equal-instant wheel event may carry a smaller seq). A
 		// live run entry is always below the bound, so the wheel drains
@@ -245,14 +247,11 @@ func (e *Engine) peekNext() *event {
 // callback, recycling the storage first so the callback itself may
 // schedule (and the pool may reuse) it.
 func (e *Engine) fire(ev *event) {
-	switch ev.idx {
-	case idxImm:
+	if ev.idx == idxImm {
 		e.imm[e.immHead] = nil
 		e.immHead++
-	case idxDue:
+	} else {
 		e.dueHead++
-	default:
-		e.heap.pop()
 	}
 	e.pending--
 	e.now = ev.at
@@ -324,30 +323,11 @@ func (e *Engine) run(until Time, window bool) (Time, error) {
 // the pdes per-shard events-per-window accounting.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// WheelOccupancy returns the number of events currently resident in the
-// timing wheel — the short-horizon tier between the immediate ring and
-// the overflow heap. Like Processed, it is a profiling accessor: the
-// value is per-engine (and therefore shard-dependent in a pdes fleet),
-// so it belongs in run-profiling reports, not in shard-count-invariant
-// metric exports.
-func (e *Engine) WheelOccupancy() int { return e.wheel.count }
-
 // WheelInserts returns the number of events the engine has routed into
 // the timing wheel over its lifetime (schedule-time placements only;
-// cascades are counted separately).
+// cascades and late inserts are not counted). Like Processed, it is a
+// per-engine profiling quantity, and so shard-dependent in a pdes fleet.
 func (e *Engine) WheelInserts() uint64 { return e.wheel.inserts }
-
-// WheelCascades returns the number of level-to-level event migrations
-// the wheel has performed — each event cascades at most wheelLevels-1
-// times, so this bounds the wheel's amortized per-event overhead.
-func (e *Engine) WheelCascades() uint64 { return e.wheel.cascades }
-
-// WheelDrains returns the number of events the wheel has moved into the
-// due run as their level-0 slots became current. WheelInserts -
-// WheelDrains - WheelOccupancy is the number of wheel events cancelled
-// before their slot drained. A drained event fires from the run; none
-// of them pays a heap operation.
-func (e *Engine) WheelDrains() uint64 { return e.wheel.drains }
 
 // NextEventTime returns the instant of the earliest queued live event
 // and whether one exists. Shard coordinators use it to derive the next

@@ -22,13 +22,13 @@ type event struct {
 	arg any
 
 	eng *Engine
-	idx int32 // heap index, or one of the sentinel/wheel encodings below
+	idx int32 // which tier holds the event: a sentinel or wheel encoding below
 	// slot is the event's position in its timing-wheel slot slice while
 	// it is wheel-resident, so wheel cancellation is an O(1) swap-remove.
 	slot int32
 }
 
-// Sentinel idx values for events outside the heap. A wheel-resident
+// Sentinel idx values for events outside the wheel. A wheel-resident
 // event encodes its (level, slot) position as
 // idx = idxWheelBase - (level*wheelSlots + slot), so idx <= idxWheelBase
 // identifies the wheel and Cancel can find the slot without extra
@@ -68,11 +68,8 @@ func (ev Event) When() Time {
 
 // Cancel removes the event from the queue so it never fires. Cancelling
 // an already-fired, already-cancelled, or zero Event is a no-op. Cancel
-// is O(1) for wheel-resident events (the dominant short-horizon timer
-// population: futex timeouts, slice renewals, retry deadlines), for
-// ring entries and for due-run entries, and O(log n) for heap events;
-// none leaves a live-counted event behind, so cancel-heavy workloads
-// never fire or count dead events.
+// is O(1) on every tier, and no tier keeps a live-counted event behind,
+// so cancel-heavy workloads never fire or count dead events.
 func (ev Event) Cancel() {
 	e := ev.e
 	if e == nil || e.gen != ev.gen || e.idx == idxFree {
@@ -80,123 +77,20 @@ func (ev Event) Cancel() {
 	}
 	eng := e.eng
 	eng.pending--
-	switch {
-	case e.idx == idxImm || e.idx == idxDue:
-		// Ring and run entries cannot be unlinked in O(1); mark the
-		// event dead (invalidated, so handles and callbacks are gone)
-		// and let peek drop the storage when it reaches the head.
-		e.idx = idxDead
-		eng.invalidate(e)
-		return
-	case e.idx <= idxWheelBase:
-		eng.wheel.remove(e)
-	default:
-		eng.heap.remove(e)
-	}
 	eng.invalidate(e)
-	eng.recycle(e)
+	if e.idx <= idxWheelBase {
+		eng.wheel.remove(e)
+		eng.recycle(e)
+		return
+	}
+	// Ring and run entries cannot be unlinked in O(1); mark the event
+	// dead (invalidated, so handles and callbacks are gone) and let peek
+	// drop the storage when it reaches the head.
+	e.idx = idxDead
 }
 
 // before reports whether a fires before b: the (at, seq) total order
 // every queue tier and the peek merge share.
 func before(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// eventHeap is an indexed 4-ary min-heap ordered by (at, seq). It is
-// implemented by hand rather than via container/heap to avoid interface
-// boxing on the hot path — the simulator pushes and pops millions of
-// events per run — and 4-ary because the shallower tree roughly halves
-// the swap chain of a pop at these queue sizes. Events track their index
-// so arbitrary removal (Cancel) is O(log n).
-type eventHeap struct {
-	ev []*event
-}
-
-// heapArity is the fan-out of the event heap.
-const heapArity = 4
-
-func (h *eventHeap) len() int { return len(h.ev) }
-
-func (h *eventHeap) less(i, j int) bool { return before(h.ev[i], h.ev[j]) }
-
-func (h *eventHeap) push(e *event) {
-	h.ev = append(h.ev, e)
-	h.up(len(h.ev) - 1)
-}
-
-// pop removes the earliest event.
-func (h *eventHeap) pop() {
-	e := h.ev[0]
-	n := len(h.ev) - 1
-	last := h.ev[n]
-	h.ev[n] = nil
-	h.ev = h.ev[:n]
-	e.idx = idxFree
-	if n > 0 {
-		h.ev[0] = last
-		h.down(0)
-	}
-}
-
-// remove unlinks a queued event from an arbitrary position.
-func (h *eventHeap) remove(e *event) {
-	i := int(e.idx)
-	n := len(h.ev) - 1
-	last := h.ev[n]
-	h.ev[n] = nil
-	h.ev = h.ev[:n]
-	e.idx = idxFree
-	if i < n {
-		h.ev[i] = last
-		h.down(i)
-		h.up(i)
-	}
-}
-
-func (h *eventHeap) up(i int) {
-	e := h.ev[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		p := h.ev[parent]
-		if !before(e, p) {
-			break
-		}
-		h.ev[i] = p
-		p.idx = int32(i)
-		i = parent
-	}
-	h.ev[i] = e
-	e.idx = int32(i)
-}
-
-func (h *eventHeap) down(i int) {
-	n := len(h.ev)
-	e := h.ev[i]
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		small := first
-		s := h.ev[first]
-		for c := first + 1; c < end; c++ {
-			x := h.ev[c]
-			if before(x, s) {
-				small, s = c, x
-			}
-		}
-		if before(e, s) {
-			break
-		}
-		h.ev[i] = s
-		s.idx = int32(i)
-		i = small
-	}
-	h.ev[i] = e
-	e.idx = int32(i)
 }

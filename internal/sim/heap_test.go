@@ -5,25 +5,11 @@ import (
 	"testing/quick"
 )
 
-// checkInvariants verifies the heap property, index bookkeeping, the
-// sortedness of the immediate ring and the due run, the wheel's
-// slot/occupancy/position invariants, and the O(1) pending counter
-// against a full recount.
+// checkInvariants verifies the sortedness of the immediate ring and the
+// due run, the wheel's slot/occupancy/position invariants, and the O(1)
+// pending counter against a full recount.
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
-	h := &e.heap
-	for i, ev := range h.ev {
-		if int(ev.idx) != i {
-			t.Fatalf("heap[%d].idx = %d", i, ev.idx)
-		}
-		if i > 0 {
-			parent := (i - 1) / heapArity
-			if h.less(i, parent) {
-				t.Fatalf("heap property violated at %d: (%d,%d) < parent (%d,%d)",
-					i, ev.at, ev.seq, h.ev[parent].at, h.ev[parent].seq)
-			}
-		}
-	}
 	// queued checks one in-order tier (ring or due run) from its head:
 	// sorted by (at, seq), each entry live (idx = liveIdx) or cancelled
 	// (idxDead), and returns the live count.
@@ -84,15 +70,15 @@ func checkInvariants(t *testing.T, e *Engine) {
 	if wheelTotal != w.count {
 		t.Fatalf("wheel count = %d, recount = %d", w.count, wheelTotal)
 	}
-	if want := wheelTotal + h.len() + immLive + dueLive; e.pending != want {
-		t.Fatalf("pending counter = %d, recount = %d (wheel %d, heap %d, imm %d, due %d)",
-			e.pending, want, wheelTotal, h.len(), immLive, dueLive)
+	if want := wheelTotal + immLive + dueLive; e.pending != want {
+		t.Fatalf("pending counter = %d, recount = %d (wheel %d, imm %d, due %d)",
+			e.pending, want, wheelTotal, immLive, dueLive)
 	}
 }
 
 // TestCancelHeavyInterleavings drives a deterministic random mix of
 // schedules and cancels — from outside and from inside callbacks, on
-// queued, fired, and already-cancelled events — checking heap/ring
+// queued, fired, and already-cancelled events — checking queue
 // invariants after every mutation and the firing order at the end.
 func TestCancelHeavyInterleavings(t *testing.T) {
 	rng := NewRand(1234)
@@ -138,7 +124,7 @@ func TestCancelHeavyInterleavings(t *testing.T) {
 	}
 }
 
-// TestCancelIsEager verifies the documented O(log n) behaviour: a
+// TestCancelIsEager verifies the documented eager behaviour: a
 // cancelled event leaves the queue immediately instead of lingering
 // until popped.
 func TestCancelIsEager(t *testing.T) {
@@ -329,7 +315,7 @@ func TestAtFuncDelivery(t *testing.T) {
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := NewEngine(1)
 	nop := func(any) {}
-	// Warm the pool and the ring/heap backing arrays.
+	// Warm the pool and the ring/wheel backing arrays.
 	for i := 0; i < 100; i++ {
 		e.AfterFunc(Duration(i%7), nop, nil)
 	}
@@ -347,8 +333,8 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestHeapArbitraryRemovalProperty hammers remove() at random positions
-// against the ordering property.
+// TestHeapArbitraryRemovalProperty cancels events at random queue
+// positions and checks that the rest still fire in time order.
 func TestHeapArbitraryRemovalProperty(t *testing.T) {
 	f := func(times []uint16, cancels []uint8) bool {
 		e := NewEngine(7)
@@ -361,15 +347,6 @@ func TestHeapArbitraryRemovalProperty(t *testing.T) {
 				break
 			}
 			handles[int(c)%len(handles)].Cancel()
-		}
-		h := &e.heap
-		for i := range h.ev {
-			if int(h.ev[i].idx) != i {
-				return false
-			}
-			if i > 0 && h.less(i, (i-1)/heapArity) {
-				return false
-			}
 		}
 		var last Time = -1
 		for {

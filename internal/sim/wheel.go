@@ -4,20 +4,20 @@ import "math/bits"
 
 // timerWheel is a hierarchical timing wheel (Varghese & Lauer's scheme,
 // as adopted by the Linux timer subsystem and Kafka's purgatory) that
-// fronts the event heap for the dense short-horizon timer traffic a
-// fleet simulation generates: slice expiries, quantum renewals,
-// arrivals, futex/retry timeouts. Insert and cancel are O(1) — a slot
-// is an unordered slice addressed by bit arithmetic, and each resident
-// event records its position in it — while far-future events (beyond
-// the wheel horizon) overflow into the 4-ary heap.
+// holds every future event: slice expiries, quantum renewals, arrivals,
+// futex/retry timeouts. Insert and cancel are O(1) — a slot is an
+// unordered slice addressed by bit arithmetic, and each resident event
+// records its position in it — and the levels span every Time up to
+// Forever, so nothing overflows.
 //
 // The wheel is invisible to the (at, seq) ordering contract: whenever
 // the earliest queued event might be wheel-resident, peekNext drains the
 // wheel's next level-0 slot (drainNextSlot), which sorts the slot's
 // events by (at, seq) into the engine's due run. They fire from the run
-// in that order, merged with the immediate ring and the heap by the
-// same key, so no drained event ever enters the heap. Draining moves
-// pooled event storage between queue tiers without touching callbacks,
+// in that order, merged with the immediate ring by the same key. An
+// event scheduled for a tick whose slot has already drained (a late
+// insert) joins the run in order (Engine.joinDue). Draining moves pooled
+// event storage between queue tiers without touching callbacks,
 // handles, or sequence numbers, so firing order — and therefore every
 // artefact byte — is unchanged at any -par/-shards.
 //
@@ -29,6 +29,9 @@ import "math/bits"
 //	level 2:     134ms/slot —   8.59s horizon
 //	level 3:     8.59s/slot —   9.16m horizon
 //	level 4:     9.16m/slot —   9.77h horizon
+//	level 5:     9.77h/slot —   26.0d horizon
+//	level 6:     26.0d/slot —   4.57y horizon
+//	level 7:     4.57y/slot —    292y horizon (every Time)
 //
 // The level-0 slot width equals the 32.768µs (2^15 ns) quantised
 // timeline grid from the resilience layer (load.RetryPolicy.Quantum,
@@ -40,8 +43,8 @@ import "math/bits"
 // wheel-resident event satisfies at >= pos<<wheelShift (level-0 events
 // sit at ticks >= pos; a level-k slot is cascaded into lower levels
 // before pos enters it), which is the bound peekNext uses to decide
-// whether to drain. Every due-run event sits in the tick just below pos,
-// so a live run head always precedes the whole wheel. pos advances only
+// whether to drain. Every due-run event sits at a tick below pos, so a
+// live run head always precedes the whole wheel. pos advances only
 // through drainNextSlot — never with the clock directly — so
 // RunWindow's park-at-window-edge clock jumps and NextEventTime peeks
 // need no wheel bookkeeping of their own.
@@ -50,13 +53,10 @@ const (
 	wheelSlotBits = 6  // log2 slots per level
 	wheelSlots    = 1 << wheelSlotBits
 	wheelMask     = wheelSlots - 1
-	wheelLevels   = 5
 
-	// wheelMinHeap is the heap-plus-unfired-run population that opens
-	// the wheel gate (Engine.wheelGate): a 4-ary heap of 16 is two
-	// levels deep, so below this the heap wins and the wheel's
-	// per-event cascade constant would be pure overhead.
-	wheelMinHeap = 16
+	// wheelLevels covers a tick span of 2^(wheelLevels*wheelSlotBits),
+	// every non-negative Time: (63 - wheelShift) / wheelSlotBits levels.
+	wheelLevels = (63 - wheelShift) / wheelSlotBits
 
 	// wheelSlotCap is the capacity of a fresh slot array. Arrays are
 	// recycled through timerWheel.free, so this sets how often a
@@ -66,6 +66,13 @@ const (
 	// BenchmarkAblationWaitPolicyActive allocated 2–4% more objects per
 	// run than at 32.
 	wheelSlotCap = 32
+
+	// slotSlab is how many slot arrays refill carves from one
+	// allocation. Every future event is wheel-resident, so even a sparse
+	// engine spreads its first events over a dozen or more slots; one
+	// allocation per array cost a fresh sharded cluster more objects
+	// than the event heap that used to hold those events did.
+	slotSlab = 16
 )
 
 type timerWheel struct {
@@ -74,8 +81,8 @@ type timerWheel struct {
 	occ   [wheelLevels]uint64               // per-level slot occupancy bitmaps
 	slots [wheelLevels][wheelSlots][]*event // unordered slot slices
 
-	// Lifetime counters for the profiling accessors (Engine.WheelInserts
-	// etc.); plain increments, never read on the simulation path.
+	// Lifetime counters (Engine.WheelInserts; the rest are read by
+	// tests); plain increments, never read on the simulation path.
 	inserts  uint64 // events routed into the wheel at schedule time
 	cascades uint64 // events moved down a level by drainNextSlot
 	drains   uint64 // events moved from level 0 into the due run
@@ -83,38 +90,47 @@ type timerWheel struct {
 	// free holds emptied slot arrays: a drained or cascaded slot hands
 	// its array back here and a slot that receives its first event takes
 	// one, so an engine's slot storage is allocated once and then
-	// recirculates instead of every slot growing its own.
+	// recirculates instead of every slot growing its own. Its capacity
+	// covers every array the wheel owns (see refill), so handing one
+	// back never reallocates it.
 	free [][]*event
 }
 
-// place routes ev into the wheel slot covering ev.at and reports whether
-// it fit; an event beyond the top level's horizon is left for the heap.
-// The caller guarantees ev.at's tick is >= pos (otherwise the slot has
-// already been drained and only the heap preserves ordering).
-func (w *timerWheel) place(ev *event) bool {
+// place routes ev into the wheel slot covering ev.at. The caller
+// guarantees ev.at's tick is >= pos (otherwise the slot has already
+// drained, and the event joins the due run instead); the top level's
+// horizon covers every Time, so some level always fits.
+func (w *timerWheel) place(ev *event) {
 	tick := uint64(ev.at) >> wheelShift
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		sh := uint(lvl * wheelSlotBits)
-		if (tick>>sh)-(w.pos>>sh) < wheelSlots {
-			s := int((tick >> sh) & wheelMask)
-			list := w.slots[lvl][s]
-			if list == nil {
-				if n := len(w.free); n > 0 {
-					list = w.free[n-1]
-					w.free = w.free[:n-1]
-				} else {
-					list = make([]*event, 0, wheelSlotCap)
-				}
-			}
-			ev.slot = int32(len(list))
-			w.slots[lvl][s] = append(list, ev)
-			w.occ[lvl] |= 1 << uint(s)
-			ev.idx = int32(idxWheelBase - (lvl*wheelSlots + s))
-			w.count++
-			return true
-		}
+	lvl, sh := 0, uint(0)
+	for (tick>>sh)-(w.pos>>sh) >= wheelSlots {
+		lvl, sh = lvl+1, sh+wheelSlotBits
 	}
-	return false
+	s := int((tick >> sh) & wheelMask)
+	list := w.slots[lvl][s]
+	if list == nil {
+		if len(w.free) == 0 {
+			w.refill()
+		}
+		n := len(w.free) - 1
+		list = w.free[n]
+		w.free = w.free[:n]
+	}
+	ev.slot = int32(len(list))
+	w.slots[lvl][s] = append(list, ev)
+	w.occ[lvl] |= 1 << uint(s)
+	ev.idx = int32(idxWheelBase - (lvl*wheelSlots + s))
+	w.count++
+}
+
+// refill stocks the empty free stack with slotSlab fresh slot arrays
+// cut from one allocation, and grows the stack by as many entries.
+func (w *timerWheel) refill() {
+	slab := make([]*event, slotSlab*wheelSlotCap)
+	w.free = make([][]*event, 0, cap(w.free)+slotSlab)
+	for i := 0; i < len(slab); i += wheelSlotCap {
+		w.free = append(w.free, slab[i:i:i+wheelSlotCap])
+	}
 }
 
 // remove unlinks a wheel-resident event (O(1)): idx encodes its level

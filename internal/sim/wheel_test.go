@@ -7,8 +7,8 @@ import (
 	"unsafe"
 )
 
-// wheelDelta spreads test timers across all queue tiers: the immediate
-// ring, every wheel level, and the overflow heap. Grid-aligned deltas
+// wheelDelta spreads test timers across the immediate ring and wheel
+// levels 0 to 5. Grid-aligned deltas
 // (whole level-0 slots) make many events share an instant, so drained
 // slots become due runs full of same-instant ties.
 func wheelDelta(r *Rand) Duration {
@@ -28,40 +28,41 @@ func wheelDelta(r *Rand) Duration {
 	case 5:
 		return Duration(r.Intn(1 << (wheelShift + 5*wheelSlotBits))) // level 3/4
 	default:
-		return Duration(1<<(wheelShift+5*wheelSlotBits)) + Duration(r.Intn(1000)) // heap overflow
+		return Duration(1<<(wheelShift+5*wheelSlotBits)) + Duration(r.Intn(1000)) // level 5
 	}
 }
 
 // TestWheelPlacementTiers pins the routing rules: same-instant events hit
-// the ring, short-horizon futures the wheel, beyond-horizon futures the
-// heap, and events whose slot has already drained fall back to the heap.
+// the ring, future events the wheel level that spans their distance (up
+// to Forever, at the top level), and events whose slot has already
+// drained join the due run.
 func TestWheelPlacementTiers(t *testing.T) {
 	e := NewEngine(1)
-	e.wheelGate = 0    // force wheel placement; the density gate has its own coverage
 	e.At(0, func() {}) // at == now: immediate ring
-	if e.WheelOccupancy() != 0 || e.heap.len() != 0 {
-		t.Fatalf("ring event leaked into wheel/heap")
+	if e.wheel.count != 0 || len(e.due) != 0 {
+		t.Fatalf("ring event leaked into wheel/run")
 	}
 	e.At(Time(3*(1<<wheelShift)), func() {})   // level 0
 	e.At(Time(100*(1<<wheelShift)), func() {}) // level 1
-	if e.WheelOccupancy() != 2 {
-		t.Fatalf("wheel occupancy = %d, want 2", e.WheelOccupancy())
+	if e.wheel.count != 2 {
+		t.Fatalf("wheel occupancy = %d, want 2", e.wheel.count)
 	}
-	e.At(Time(uint64(1)<<(wheelShift+wheelLevels*wheelSlotBits))+10, func() {}) // overflow
-	if e.WheelOccupancy() != 2 || e.heap.len() != 1 {
-		t.Fatalf("overflow event not in heap (wheel %d, heap %d)", e.WheelOccupancy(), e.heap.len())
+	top := e.At(Forever, func() {})
+	if e.wheel.count != 3 || e.wheel.occ[wheelLevels-1] == 0 {
+		t.Fatalf("Forever event not on the top level (wheel %d, top occupancy %b)",
+			e.wheel.count, e.wheel.occ[wheelLevels-1])
 	}
-	if _, err := e.RunAll(); err != nil {
-		t.Fatal(err)
+	checkInvariants(t, e)
+	if end, err := e.RunAll(); err != nil || end != Forever || top.Active() {
+		t.Fatalf("RunAll = %v, %v; Forever event active %v", end, err, top.Active())
 	}
-	if e.WheelOccupancy() != 0 || e.Pending() != 0 {
-		t.Fatalf("events left behind: wheel %d, pending %d", e.WheelOccupancy(), e.Pending())
+	if e.wheel.count != 0 || e.Pending() != 0 {
+		t.Fatalf("events left behind: wheel %d, pending %d", e.wheel.count, e.Pending())
 	}
 	// After a wheel event fires, the cursor sits one past its drained
 	// slot while the clock sits inside it: a new event for the current
-	// (already-drained) tick must route to the heap, yet still fire.
+	// (already-drained) tick must join the due run, yet still fire.
 	e2 := NewEngine(1)
-	e2.wheelGate = 0
 	e2.At(Time(3*(1<<wheelShift)), func() {})
 	if _, err := e2.RunAll(); err != nil {
 		t.Fatal(err)
@@ -70,9 +71,9 @@ func TestWheelPlacementTiers(t *testing.T) {
 		t.Fatalf("cursor = %d, want %d (one past the fired slot)", e2.wheel.pos, nowTick+1)
 	}
 	var got []Time
-	e2.At(e2.Now()+1, func() { got = append(got, e2.Now()) })
-	if e2.WheelOccupancy() != 0 {
-		t.Fatalf("behind-cursor event landed in the wheel")
+	late := e2.At(e2.Now()+1, func() { got = append(got, e2.Now()) })
+	if e2.wheel.count != 0 || late.e.idx != idxDue {
+		t.Fatalf("behind-cursor event not in the due run (wheel %d, idx %d)", e2.wheel.count, late.e.idx)
 	}
 	if _, err := e2.RunAll(); err != nil {
 		t.Fatal(err)
@@ -83,15 +84,12 @@ func TestWheelPlacementTiers(t *testing.T) {
 }
 
 // TestWheelOrderingProperty is the cross-tier ordering property: events
-// whose times span the ring, all wheel levels, and the overflow heap
-// fire in nondecreasing (at, seq) order regardless of insertion pattern.
+// whose times span the ring and the wheel levels fire in nondecreasing
+// (at, seq) order regardless of insertion pattern.
 func TestWheelOrderingProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		r := NewRand(seed)
 		e := NewEngine(1)
-		if seed%2 == 0 {
-			e.wheelGate = 0 // sweep both the gated and always-wheel configs
-		}
 		var fired []Time
 		count := int(n)%200 + 20
 		for i := 0; i < count; i++ {
@@ -115,20 +113,17 @@ func TestWheelOrderingProperty(t *testing.T) {
 // TestWheelSameInstantFIFO checks the quantised-grid shape from the
 // resilience layer: many timers on the exact same grid instants (the
 // 32.768µs retry/backoff grid) must fire FIFO within each instant even
-// though they share a slot whose order the wheel does not keep. Three
+// though they share a slot whose order the wheel does not keep. Two
 // things scramble that order before the slot drains into the due run:
 // a second batch scheduled straight into level 0 while the first still
-// waits at level 1 (the first batch cascades in behind it), cancels
-// (a slot removal moves its last event into the gap), and, with the
-// density gate on, the first batch's earliest events sitting in the
-// heap, tied in time with later run entries. Ten instants put about 26
-// live events in a slot; four put about 64, more than a fresh slot
-// array holds (wheelSlotCap), so those slots grow while scrambled.
+// waits at level 1 (the first batch cascades in behind it), and cancels
+// (a slot removal moves its last event into the gap). Ten instants put
+// about 26 live events in a slot; four put about 64, more than a fresh
+// slot array holds (wheelSlotCap), so those slots grow while scrambled.
 func TestWheelSameInstantFIFO(t *testing.T) {
 	const grid = 32768 * Nanosecond
-	for _, c := range []struct{ gate, instants int }{{0, 10}, {wheelMinHeap, 10}, {0, 4}, {wheelMinHeap, 4}} {
+	for _, c := range []struct{ instants int }{{10}, {4}} {
 		e := NewEngine(1)
-		e.wheelGate = c.gate
 		type rec struct {
 			at  Time
 			ord int
@@ -176,7 +171,6 @@ func TestWheelSameInstantFIFO(t *testing.T) {
 func TestWheelCancelInterleavings(t *testing.T) {
 	rng := NewRand(4321)
 	e := NewEngine(1)
-	e.wheelGate = 0
 	var handles []Event
 	var fired []Time
 	for round := 0; round < 25; round++ {
@@ -228,11 +222,10 @@ func TestWheelCancelInterleavings(t *testing.T) {
 // event has migrated tiers.
 func TestWheelHandleSurvivesCascade(t *testing.T) {
 	e := NewEngine(1)
-	e.wheelGate = 0
 	at := Time(200 * (1 << (wheelShift + wheelSlotBits))) // level 2 distance
 	fired := false
 	ev := e.At(at, func() { fired = true })
-	if e.WheelOccupancy() != 1 {
+	if e.wheel.count != 1 {
 		t.Fatalf("event not wheel-resident")
 	}
 	// Drive the clock close enough that the event has cascaded at least
@@ -244,7 +237,7 @@ func TestWheelHandleSurvivesCascade(t *testing.T) {
 	if !ev.Active() || ev.When() != at {
 		t.Fatalf("handle lost across cascade: active=%v when=%v", ev.Active(), ev.When())
 	}
-	if e.WheelCascades() == 0 {
+	if e.wheel.cascades == 0 {
 		t.Fatalf("no cascades recorded; test scenario broken")
 	}
 	ev.Cancel()
@@ -259,12 +252,11 @@ func TestWheelHandleSurvivesCascade(t *testing.T) {
 	}
 }
 
-// TestWheelCounters checks the profiling accessors' accounting identity:
+// TestWheelCounters checks the wheel counters' accounting identity:
 // every wheel insert is eventually drained to the due run, cancelled in
 // place, or still resident.
 func TestWheelCounters(t *testing.T) {
 	e := NewEngine(1)
-	e.wheelGate = 0 // all 500 must be wheel-resident for the counter identity
 	nop := func(any) {}
 	var handles []Event
 	for i := 0; i < 500; i++ {
@@ -284,17 +276,17 @@ func TestWheelCounters(t *testing.T) {
 	if _, err := e.Run(150 * Time(1<<wheelShift)); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.WheelInserts() - e.WheelDrains() - uint64(e.WheelOccupancy()); got != cancelled {
+	if got := e.WheelInserts() - e.wheel.drains - uint64(e.wheel.count); got != cancelled {
 		t.Fatalf("counter identity: inserts-drains-occupancy = %d, want %d cancelled", got, cancelled)
 	}
 	if _, err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if e.WheelOccupancy() != 0 {
-		t.Fatalf("occupancy = %d after drain", e.WheelOccupancy())
+	if e.wheel.count != 0 {
+		t.Fatalf("occupancy = %d after drain", e.wheel.count)
 	}
-	if e.WheelInserts()-e.WheelDrains() != cancelled {
-		t.Fatalf("drains = %d, inserts = %d, cancelled = %d", e.WheelDrains(), e.WheelInserts(), cancelled)
+	if e.WheelInserts()-e.wheel.drains != cancelled {
+		t.Fatalf("drains = %d, inserts = %d, cancelled = %d", e.wheel.drains, e.WheelInserts(), cancelled)
 	}
 }
 
@@ -303,7 +295,6 @@ func TestWheelCounters(t *testing.T) {
 // nothing once the pool is warm.
 func TestWheelSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
-	e.wheelGate = 0
 	nop := func(any) {}
 	for i := 0; i < 200; i++ {
 		e.AfterFunc(Duration(i%100+1)*Duration(1<<wheelShift), nop, nil)
@@ -330,7 +321,6 @@ func TestWheelSteadyStateZeroAlloc(t *testing.T) {
 // bound) both before and after the park.
 func TestWheelRunWindowPark(t *testing.T) {
 	e := NewEngine(1)
-	e.wheelGate = 0
 	at := Time(37*(1<<wheelShift)) + 123 // mid-slot, level 0
 	fired := Time(-1)
 	e.At(at, func() { fired = e.Now() })
@@ -363,11 +353,10 @@ func TestWheelRunWindowPark(t *testing.T) {
 }
 
 // TestPendingCounterExact is the satellite pin: Pending must track
-// alloc/fire/cancel/recycle exactly, across all three queue tiers,
-// through horizon splits, double cancels, and stale handles.
+// alloc/fire/cancel/recycle exactly, across the ring, wheel levels and
+// due run, through horizon splits, double cancels, and stale handles.
 func TestPendingCounterExact(t *testing.T) {
 	e := NewEngine(1)
-	e.wheelGate = 0 // keep the one-event-per-tier layout below exact
 	model := 0
 	check := func(ctx string) {
 		t.Helper()
@@ -379,11 +368,16 @@ func TestPendingCounterExact(t *testing.T) {
 
 	fired := 0
 	onFire := func(any) { fired++; model-- }
-	// One event per tier.
+	// One event in the ring, one on level 0, one on level 1 and one on
+	// the top level (Forever/2 leaves the churn below room to add
+	// deltas without overflowing Time).
 	ring := e.AtFunc(0, onFire, nil)
 	wheelEv := e.AtFunc(Time(5*(1<<wheelShift)), onFire, nil)
 	deep := e.AtFunc(Time(100*(1<<(wheelShift+wheelSlotBits))), onFire, nil)
-	over := e.AtFunc(Time(uint64(1)<<(wheelShift+wheelLevels*wheelSlotBits))+5, onFire, nil)
+	over := e.AtFunc(Forever/2, onFire, nil)
+	if e.wheel.occ[wheelLevels-1] == 0 {
+		t.Fatal("Forever/2 event not on the top level")
+	}
 	model += 4
 	check("scheduled one per tier")
 
@@ -465,11 +459,11 @@ func TestEventIsOneCacheLine(t *testing.T) {
 // TestDueRunHandles covers handles whose event sits in the due run: a
 // drained slot's entries stay Active with their exact When, Cancel
 // drops one in O(1) without firing it, a callback may cancel a later
-// sibling of its own run, and a late insert for the run's instant (a
-// heap entry behind the cursor) fires after the run's ties.
+// sibling of its own run, and a late insert for one of the run's
+// instants joins the run behind that instant's ties, before any later
+// entry.
 func TestDueRunHandles(t *testing.T) {
 	e := NewEngine(1)
-	e.wheelGate = 0
 	slot := Time(5 << wheelShift)
 	var fired []int
 	rec := func(id int) func() { return func() { fired = append(fired, id) } }
@@ -489,8 +483,8 @@ func TestDueRunHandles(t *testing.T) {
 	if _, err := e.Run(slot - 1); err != nil {
 		t.Fatal(err)
 	}
-	if e.WheelOccupancy() != 0 || len(e.due)-e.dueHead != 5 {
-		t.Fatalf("slot not drained into the run: wheel %d, run %d", e.WheelOccupancy(), len(e.due)-e.dueHead)
+	if e.wheel.count != 0 || len(e.due)-e.dueHead != 5 {
+		t.Fatalf("slot not drained into the run: wheel %d, run %d", e.wheel.count, len(e.due)-e.dueHead)
 	}
 	checkInvariants(t, e)
 	for i, want := range []Time{slot, slot, slot + 7, slot + 7, slot + 9} {
@@ -505,11 +499,12 @@ func TestDueRunHandles(t *testing.T) {
 		t.Fatalf("cancelled run entry: Active %v, When %v, Pending %d", h[4].Active(), h[4].When(), e.Pending())
 	}
 	checkInvariants(t, e)
-	// The run's slot has drained, so this lands behind the cursor in the
-	// heap, equal in at to entries 2 and 3 but with a later seq.
-	e.At(slot+7, rec(5))
-	if e.heap.len() != 1 {
-		t.Fatalf("late insert not in the heap (heap %d)", e.heap.len())
+	// The run's slot has drained, so this lands behind the cursor and
+	// joins the run: equal in at to entries 2 and 3 but with a later
+	// seq, and before the (cancelled) entry 4.
+	late := e.At(slot+7, rec(5))
+	if late.e.idx != idxDue || e.due[e.dueHead+4] != late.e || e.due[e.dueHead+5] != h[4].e {
+		t.Fatalf("late insert not at its place in the run (idx %d)", late.e.idx)
 	}
 	checkInvariants(t, e)
 	if _, err := e.RunAll(); err != nil {
@@ -527,5 +522,36 @@ func TestDueRunHandles(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after RunAll", e.Pending())
+	}
+}
+
+// TestDueRunCompacts keeps the due run non-empty for tens of thousands
+// of late inserts: two chains share each instant of one drained slot,
+// and every link schedules the next 1 ns later, still behind the
+// cursor, before the run empties. The run's array must reuse its fired
+// prefix rather than grow with every link.
+func TestDueRunCompacts(t *testing.T) {
+	e := NewEngine(1)
+	slot := Time(5 << wheelShift)
+	last := slot + 1<<wheelShift - 1
+	links := 0
+	var link func(any)
+	link = func(any) {
+		links++
+		if e.Now() < last {
+			e.AfterFunc(1, link, nil)
+		}
+	}
+	e.AtFunc(slot, link, nil)
+	e.AtFunc(slot, link, nil)
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, e)
+	if links != 2<<wheelShift {
+		t.Fatalf("links = %d, want %d", links, 2<<wheelShift)
+	}
+	if cap(e.due) > wheelSlotCap {
+		t.Fatalf("due run array grew to %d entries for a run of at most 2", cap(e.due))
 	}
 }

@@ -86,7 +86,7 @@ func NewWithParams(machine hw.Config, seed uint64, params kernel.SchedParams) *S
 // independent simulated machines can share one deterministic event loop
 // (the multi-node cluster layer). All kernel, glibc, nOS-V, and USF
 // state is per-system — the kernel owns its cores, stats, tracer, and
-// the nOS-V segment registry (kernel.Local) — so systems on one engine
+// the nOS-V segment registry (kernel.Segments) — so systems on one engine
 // never observe each other except through virtual time.
 //
 // seed roots the system's private RNG-stream namespace (see Rand): a
