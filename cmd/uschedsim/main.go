@@ -41,8 +41,10 @@
 //	            node queue → service → reply) in fleet scenarios and
 //	            write them to FILE (.csv selects CSV); byte-identical
 //	            for any -par or -shards value
-//	-v          print one progress line per completed cell to stderr
-//	            (completion order; table output is unaffected)
+//	-v          print one progress line per completed cell to stderr, with
+//	            its engine events and events per host second when it
+//	            reports them (completion order; table output is
+//	            unaffected)
 //	-trace FILE instead of sweeping, run one representative cell of the
 //	            scenario with kernel event tracing and write Chrome
 //	            trace-event JSON (chrome://tracing, Perfetto) to FILE;
@@ -200,8 +202,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verbose {
 		opt.Progress = func(done, total int, m metrics.CellMetric) {
-			fmt.Fprintf(stderr, "[%d/%d] %s/%s: sim %.1fs host %.2fs\n",
+			fmt.Fprintf(stderr, "[%d/%d] %s/%s: sim %.1fs host %.2fs",
 				done, total, m.Scenario, m.Cell, m.SimSeconds, m.HostSeconds)
+			if m.Events > 0 {
+				// The cell's work: engine events, and their rate per
+				// host second.
+				fmt.Fprintf(stderr, " events %d", m.Events)
+				if m.HostSeconds > 0 {
+					fmt.Fprintf(stderr, " (%.3gM/s)", float64(m.Events)/m.HostSeconds/1e6)
+				}
+			}
+			fmt.Fprintln(stderr)
 		}
 	}
 	if *tracePath != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -445,6 +446,28 @@ func TestVerboseProgress(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "[1/") || !strings.Contains(errOut, "cholesky/") {
 		t.Fatalf("no per-cell progress on stderr:\n%s", errOut)
+	}
+	// Cholesky cells report engine events, so every progress line
+	// shows the cell's work and its rate.
+	lines := 0
+	for _, line := range strings.Split(errOut, "\n") {
+		if !strings.HasPrefix(line, "[") {
+			continue
+		}
+		lines++
+		var events int64
+		rate := 1.0 // a cell with no measurable host time prints no rate
+		i := strings.Index(line, " events ")
+		if i < 0 {
+			t.Fatalf("progress line without events: %q", line)
+		}
+		n, _ := fmt.Sscanf(line[i:], " events %d (%gM/s)", &events, &rate)
+		if n == 0 || events <= 0 || rate <= 0 {
+			t.Fatalf("progress line %q: events %d rate %g", line, events, rate)
+		}
+	}
+	if lines == 0 {
+		t.Fatalf("no progress lines:\n%s", errOut)
 	}
 	code, quiet, _ := runCLI(t, "cholesky", "-quick", "-par", "2")
 	if code != 0 || quiet != out {

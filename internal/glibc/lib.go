@@ -184,6 +184,10 @@ type SpinWait struct {
 	N    int
 	// Yield enables the sched_yield patch.
 	Yield bool
+	// Lull, when set, fast-forwards the wait while nothing can observe
+	// it (package spin's lone stretches); only a wait whose condition's
+	// every change is notified has one.
+	Lull *sim.Lull
 	// Spins counts finished polls; YieldDue marks a poll whose
 	// sched_yield is still to be made; Done marks a satisfied Cond.
 	Spins    int
@@ -229,6 +233,57 @@ func (w *SpinWait) StartCompute(d sim.Duration) bool {
 // ParkStep parks the waiting thread with step(w) as its resume step (see
 // kernel.Thread.ParkStep).
 func (w *SpinWait) ParkStep(step func(any) bool) { w.self.KT.ParkStep(step, w) }
+
+// Lone reports whether nothing can observe the waiting thread's next
+// bursts and polls: the kernel thread is Lone, and under glibcv each
+// sched_yield, if yield is set, is a self-yield the policy can skip
+// (nosv.Instance.YieldLone).
+func (w *SpinWait) Lone() bool {
+	pt := w.self
+	if !pt.KT.Lone() {
+		return false
+	}
+	return w.Lib.Inst == nil || !w.Yield || w.Lib.Inst.YieldLone(pt.task)
+}
+
+// PendingPenalty returns the overhead the waiting thread's next burst
+// would burn before its work (kernel.Thread.PendingPenalty).
+func (w *SpinWait) PendingPenalty() sim.Duration { return w.self.KT.PendingPenalty() }
+
+// YieldPenalty returns the overhead one sched_yield adds to the next
+// burst: the kernel entry, except under glibcv, whose yield stays in
+// user space.
+func (w *SpinWait) YieldPenalty() sim.Duration {
+	if w.Lib.Inst != nil {
+		return 0
+	}
+	return w.Lib.K.HW.Costs.SyscallEntry
+}
+
+// StartLull lulls the waiting thread with grid gaps a and b, calling
+// fn(w) when the lull wakes (kernel.Thread.StartLull).
+func (w *SpinWait) StartLull(a, b sim.Duration, fn func(any)) {
+	w.self.KT.StartLull(w.Lull, a, b, fn, w)
+}
+
+// SkipYields applies the bookkeeping of n sched_yields the waiting
+// thread made at first, first+step, ... while Lone: the library's and
+// the kernel's yield counters, or under glibcv nOS-V's self-yields.
+func (w *SpinWait) SkipYields(first sim.Time, step sim.Duration, n int) {
+	l := w.Lib
+	l.Stats.Yields += int64(n)
+	if l.Inst != nil {
+		l.Inst.SkipSelfYields(w.self.task, first, step, n)
+		return
+	}
+	l.K.Stats.Yields += int64(n)
+}
+
+// ResumeCompute re-creates the waiting thread's burst in flight
+// (kernel.Thread.ResumeCompute) and returns its end.
+func (w *SpinWait) ResumeCompute(start sim.Time, d, penalty sim.Duration) sim.Time {
+	return w.self.KT.ResumeCompute(start, d, penalty)
+}
 
 // Task returns the pthread's bound nOS-V task (nil under the standard
 // backend).

@@ -115,6 +115,9 @@ func (c *Core) hasCompetitor(t *Thread) bool {
 // enqueue puts a runnable thread on its class's queue on this core and
 // arms preemption machinery as needed.
 func (c *Core) enqueue(t *Thread) {
+	if c.curr != nil {
+		c.curr.proc.WakeLull()
+	}
 	t.state = ThreadRunnable
 	t.queuedOn = c.id
 	c.k.rrSeq++
@@ -252,6 +255,7 @@ func (c *Core) kickCurrent(reason string) {
 // runtime accounting. The thread is left in Runnable state with no queue.
 func (c *Core) stopCurrent() {
 	t := c.curr
+	t.proc.WakeLull()
 	now := c.now()
 	if t.seg != nil && t.seg.running {
 		t.seg.advance(now)

@@ -285,6 +285,59 @@ func (t *Thread) ParkStep(step func(any) bool, arg any) {
 	t.proc.ParkStep(step, arg)
 }
 
+// Lone reports whether nothing competes for the thread's core: it is
+// running and no thread is queued there. A lone thread's compute burst
+// then ends undisturbed unless the kernel touches the core or the
+// thread, and each such path first wakes the thread's lull (see
+// StartLull).
+func (t *Thread) Lone() bool {
+	return t.state == ThreadRunning && t.kern.cores[t.curCore].nq == 0
+}
+
+// PendingPenalty returns the dispatch and syscall overhead that the
+// thread's next compute segment will burn before its work.
+func (t *Thread) PendingPenalty() sim.Duration { return t.pendingPenalty }
+
+// StartLull lulls the calling thread's proc (see sim.Engine.Lull) with
+// grid gaps a and b instead of starting its next compute burst; the
+// pending penalty is dropped, as the caller's grid accounts for it.
+// The thread must be Lone and must park right after (or stay parked,
+// in a resume step). Until the lull wakes, an enqueue on its core and a
+// stop or preemption there (a migration by SetAffinity, the exit of a
+// killed thread) each wake it first, so fn can re-create the burst in
+// flight (ResumeCompute) before anything looks at it.
+func (t *Thread) StartLull(l *sim.Lull, a, b sim.Duration, fn func(any), arg any) {
+	t.assertCurrent()
+	t.pendingPenalty = 0
+	t.kern.Eng.Lull(l, t.proc, a, b, fn, arg)
+}
+
+// WakeLull wakes the thread's lull, if it has one (see StartLull).
+func (t *Thread) WakeLull() { t.proc.WakeLull() }
+
+// ResumeCompute re-creates, from any context but the thread's own, the
+// compute burst a lulled thread is running: it started at start, burns
+// penalty and then d of work at full speed, and is still running. It schedules the burst's end
+// and returns its instant. The thread's proc stays parked; the end
+// readies it as StartCompute's would.
+func (t *Thread) ResumeCompute(start sim.Time, d, penalty sim.Duration) sim.Time {
+	if t.state != ThreadRunning || t.seg != nil {
+		panic(fmt.Sprintf("kernel: ResumeCompute on %v in state %v", t, t.state))
+	}
+	seg := &t.segBuf
+	*seg = segment{
+		remaining:  float64(d),
+		penalty:    float64(penalty),
+		speed:      1,
+		lastUpdate: start,
+		running:    true,
+	}
+	t.seg = seg
+	end := start.Add(penalty + d)
+	seg.endEv = t.kern.Eng.AtFunc(end, segmentEnd, t)
+	return end
+}
+
 // YieldWouldPark reports, without side effects, whether Yield called now
 // could park the thread: it is already off-CPU, or YieldImmediate is set
 // and a competitor is queued on its core. When it returns false, Yield

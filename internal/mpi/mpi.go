@@ -45,10 +45,16 @@ type Rank struct {
 	lib  *glibc.Lib
 	// inbox[src] holds messages from that source, FIFO.
 	inbox [][]message
-	// recvTag is the tag a Recv in progress awaits; got is the message
-	// its poll consumed.
+	// recvTag and recvSrc are the tag and source a Recv in progress
+	// awaits (recvSrc is -1 outside Recv); got is the message its poll
+	// consumed.
 	recvTag int
+	recvSrc int
 	got     message
+	// watch notifies the rank's wait in progress of a new message from
+	// recvSrc or of a barrier passing, so the wait can fast-forward
+	// while it is lone.
+	watch spin.Watch
 }
 
 // Register attaches the calling process (rank id) to the world.
@@ -56,12 +62,12 @@ func (w *World) Register(rank int, lib *glibc.Lib) *Rank {
 	if w.ranks[rank] != nil {
 		panic(fmt.Sprintf("mpi: rank %d registered twice", rank))
 	}
-	r := &Rank{w: w, rank: rank, lib: lib, inbox: make([][]message, w.size)}
+	r := &Rank{w: w, rank: rank, lib: lib, inbox: make([][]message, w.size), recvSrc: -1}
 	w.ranks[rank] = r
 	return r
 }
 
-// Rank returns this endpoint's rank id.
+// RankID returns this endpoint's rank id.
 func (r *Rank) RankID() int { return r.rank }
 
 // protocol cost constants (on-node shared-memory transport).
@@ -78,13 +84,17 @@ func (r *Rank) Send(dst, tag int, bytes int64) {
 	r.lib.Compute(sendOverhead + sim.Duration(float64(bytes)/copyBytesPerNs))
 	d := r.w.ranks[dst]
 	d.inbox[r.rank] = append(d.inbox[r.rank], message{src: r.rank, tag: tag, bytes: bytes})
+	if d.recvSrc == r.rank {
+		d.watch.Notify()
+	}
 }
 
 // Recv blocks (busy-polling, like MPICH's progress engine) until a message
 // with the given source and tag arrives, then consumes it.
 func (r *Rank) Recv(src, tag int) int64 {
-	r.recvTag = tag
-	spin.UntilFunc(r.lib, recvArrived, r, src, r.w.Yield)
+	r.recvTag, r.recvSrc = tag, src
+	spin.UntilWatched(r.lib, recvArrived, r, src, r.w.Yield, &r.watch)
+	r.recvSrc = -1
 	got := r.got
 	r.lib.Compute(recvOverhead + sim.Duration(float64(got.bytes)/copyBytesPerNs))
 	return got.bytes
@@ -120,9 +130,15 @@ func (r *Rank) Barrier() {
 	if w.barCount == w.size {
 		w.barCount = 0
 		w.barGen++
+		// Every rank in a wait outside Recv waits here.
+		for _, x := range w.ranks {
+			if x != nil && x.recvSrc < 0 {
+				x.watch.Notify()
+			}
+		}
 		return
 	}
-	spin.UntilFunc(r.lib, worldBarrierPassed, w, gen, w.Yield)
+	spin.UntilWatched(r.lib, worldBarrierPassed, w, gen, w.Yield, &r.watch)
 }
 
 // worldBarrierPassed is Barrier's poll: the world left generation gen.

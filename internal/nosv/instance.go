@@ -30,8 +30,10 @@ type Instance struct {
 	Key    string
 	policy Policy
 	// yieldAware is policy's YieldAware side, nil when it has none,
-	// resolved once so a yield makes no interface type assertion.
+	// resolved once so a yield makes no interface type assertion;
+	// yieldSkip is its YieldSkipper side, nil unless it has both.
 	yieldAware YieldAware
+	yieldSkip  YieldSkipper
 
 	slots     []*Task       // current task per core, nil = idle slot
 	coreMasks []kernel.Mask // single-core pin masks, built once per instance
@@ -73,6 +75,9 @@ func OpenSegment(k *kernel.Kernel, key string, proc *kernel.Process, mkPolicy fu
 			in.coreMasks[c] = kernel.NewMask(c)
 		}
 		in.yieldAware, _ = in.policy.(YieldAware)
+		if in.yieldAware != nil {
+			in.yieldSkip, _ = in.policy.(YieldSkipper)
+		}
 		in.policy.Bind(in)
 		reg[key] = in
 	}
@@ -185,7 +190,9 @@ func (in *Instance) Submit(t *Task) {
 	t.state = TaskReady
 	if core := in.policy.Ready(t, false); core >= 0 {
 		in.place(t, core)
+		return
 	}
+	in.wakeLulls()
 }
 
 // Pause implements nosv_pause: the calling task blocks, its core is handed
@@ -269,9 +276,42 @@ func (in *Instance) Yield(t *Task) {
 	}
 	if t.state == TaskReady {
 		// We handed the core away; park until rescheduled.
+		in.wakeLulls()
 		w := t.worker
 		w.parkF.Word = 1
 		in.ParkWorker(w)
+	}
+}
+
+// YieldLone reports whether a yield by t, running, is a self-yield that
+// a busy-wait may skip: the policy re-picks t, and it can apply skipped
+// self-yields' bookkeeping (SkipSelfYields).
+func (in *Instance) YieldLone(t *Task) bool {
+	return in.yieldSkip != nil && in.yieldAware.YieldRepicks(t.prefCore, t)
+}
+
+// SkipSelfYields applies the instance's and the policy's bookkeeping of
+// n self-yields by t at the instants first, first+step, ... (see
+// YieldSkipper); each counts as a yield, a placement and a self-yield.
+// It runs on t's behalf, from any context.
+func (in *Instance) SkipSelfYields(t *Task, first sim.Time, step sim.Duration, n int) {
+	in.Stats.Yields += int64(n)
+	in.Stats.Placements += int64(n)
+	in.Stats.SelfYields += int64(n)
+	in.yieldSkip.SkipSelfYields(t.prefCore, t, first, step, n)
+}
+
+// wakeLulls wakes the lull of every running task whose next yield would
+// no longer be a self-yield: a task was just queued, so a lulled
+// busy-wait's skipped yields must stop here.
+func (in *Instance) wakeLulls() {
+	if in.K.Eng.Lulls() == 0 {
+		return
+	}
+	for core, t := range in.slots {
+		if t != nil && (in.yieldAware == nil || !in.yieldAware.YieldRepicks(core, t)) {
+			t.worker.KT.WakeLull()
+		}
 	}
 }
 

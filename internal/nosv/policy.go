@@ -1,5 +1,7 @@
 package nosv
 
+import "repro/internal/sim"
+
 // Policy decides which ready task runs on which core. It is the extension
 // point of USF: the instance owns the mechanics (worker parking, core
 // slots, the one-runner-per-core invariant) and delegates every choice to
@@ -41,6 +43,16 @@ type Policy interface {
 type YieldAware interface {
 	NextAfterYield(core int, yielder *Task) *Task
 	YieldRepicks(core int, yielder *Task) bool
+}
+
+// YieldSkipper is an optional YieldAware extension for yields nobody
+// observes: SkipSelfYields applies the policy's bookkeeping of n yields
+// by t, running on core, at the instants first, first+step, ... as if
+// each had been made while YieldRepicks held and the core was t's
+// throughout, so each re-picked t. A busy-wait fast-forwarding a lone
+// stretch (package spin) calls it when the stretch ends.
+type YieldSkipper interface {
+	SkipSelfYields(core int, t *Task, first sim.Time, step sim.Duration, n int)
 }
 
 // FIFOPolicy is the trivial built-in policy: one global FIFO, any idle

@@ -49,11 +49,23 @@ type Engine struct {
 	// profiling (events/s, events-per-window). One integer increment in
 	// fire — no allocation, no observable effect on the simulation.
 	processed uint64
+
+	// lulls are the procs whose periodic activity the engine skips (see
+	// lull.go), in lullBuf until there are more than fit. lullNext and
+	// lullMax bound their Next fields, lullNext Forever when there is
+	// none, so AtFunc's guard is one comparison while no lull is active.
+	lulls    []*Lull
+	lullBuf  [16]*Lull
+	lullNext Time
+	lullMax  Time
+	lullReg  uint64
 }
 
 // NewEngine returns an engine whose RNG streams derive from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRand(seed)}
+	e := &Engine{rng: NewRand(seed), lullNext: Forever}
+	e.lulls = e.lullBuf[:0]
+	return e
 }
 
 // Now returns the current virtual time.
@@ -151,6 +163,9 @@ func callFunc(fn any) { fn.(func())() }
 func (e *Engine) AtFunc(t Time, fn func(any), arg any) Event {
 	if t < e.now {
 		t = e.now
+	}
+	if t >= e.lullNext {
+		e.guard(t)
 	}
 	if len(e.free) == 0 {
 		e.refill()
@@ -285,10 +300,21 @@ func (e *Engine) RunWindow(until Time) Time {
 func (e *Engine) run(until Time, window bool) (Time, error) {
 	for !e.stopped {
 		ev := e.peekNext()
-		if ev == nil {
-			break
-		}
-		if ev.at > until {
+		if ev == nil || ev.at > until {
+			if len(e.lulls) > 0 {
+				// The run ends here, its lulls' grid instants up to
+				// until passed; a queue drained with no horizon
+				// keeps going.
+				asOf := until
+				if asOf == Forever || asOf < e.now {
+					asOf = e.now
+				}
+				e.endLulls(asOf)
+				continue
+			}
+			if ev == nil {
+				break
+			}
 			// Leave the event queued, untouched, for a later Run call.
 			// The clock only moves forward: a horizon in the past
 			// returns immediately at the current time.
@@ -304,6 +330,7 @@ func (e *Engine) run(until Time, window bool) (Time, error) {
 	}
 	if e.stopped {
 		e.stopped = false
+		e.endLulls(-1)
 		return e.now, nil
 	}
 	if window {
@@ -333,8 +360,12 @@ func (e *Engine) WheelInserts() uint64 { return e.wheel.inserts }
 // and whether one exists. Shard coordinators use it to derive the next
 // safe window bound without disturbing the queue.
 func (e *Engine) NextEventTime() (Time, bool) {
+	e.catchUp()
 	ev := e.peekNext()
-	if ev == nil {
+	if ev == nil || ev.at > e.lullNext {
+		if len(e.lulls) > 0 {
+			return e.lullNext, true
+		}
 		return 0, false
 	}
 	return ev.at, true

@@ -61,13 +61,17 @@ type Proc struct {
 	state   ProcState
 	pending bool // a resume event is queued
 	killed  bool
+	// inStep marks that the resume step is executing, so Park can
+	// refuse to run inside it.
+	inStep bool
 
 	// step, when armed by ParkStep, runs on the engine stack at each
-	// resume before any coroutine switch (see ParkStep); inStep marks
-	// that it is executing, so Park can refuse to run inside it.
+	// resume before any coroutine switch (see ParkStep).
 	step    func(any) bool
 	stepArg any
-	inStep  bool
+
+	// lull is the proc's active lull, if any (see Engine.Lull).
+	lull *Lull
 }
 
 // killSentinel unwinds a killed proc's goroutine from inside Park.
@@ -244,6 +248,7 @@ func (e *Engine) Kill(p *Proc) {
 	if p.state == ProcRunning {
 		panic(fmt.Sprintf("sim: Kill of running %v", p))
 	}
+	p.WakeLull()
 	p.killed = true
 	e.Ready(p)
 }
@@ -253,6 +258,7 @@ func (e *Engine) Kill(p *Proc) {
 // leaking goroutines. The event queue may still hold (cancelled or inert)
 // timers afterwards; the engine should be discarded.
 func (e *Engine) KillAll() {
+	e.endLulls(-1)
 	for _, p := range e.procs {
 		if p.state != ProcExited && p.state != ProcRunning {
 			e.Kill(p)

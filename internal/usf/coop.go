@@ -12,6 +12,8 @@
 package usf
 
 import (
+	"fmt"
+
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/nosv"
@@ -292,6 +294,39 @@ func (p *SchedCoop) NextAfterYield(core int, y *nosv.Task) *nosv.Task {
 // re-picks the yielder exactly when no other task is queued, because
 // Next finds any queued task from any core.
 func (p *SchedCoop) YieldRepicks(core int, y *nosv.Task) bool { return p.queued == 0 }
+
+// SkipSelfYields implements nosv.YieldSkipper: n self-yields by t on
+// core at first, first+step, ... Each one is the Ready(t, true) and
+// NextAfterYield pair with nothing else queued: Next pops t straight
+// back (a local pick, unless affinity is off), and it restarts the
+// core's process quantum at the first yield after the quantum expires.
+// The core serves t's process: every placement of a task makes its
+// process the core's current one (notePick, or Next's pick).
+func (p *SchedCoop) SkipSelfYields(core int, t *nosv.Task, first sim.Time, step sim.Duration, n int) {
+	if n <= 0 {
+		return
+	}
+	if p.curPid[core] != t.Pid {
+		panic(fmt.Sprintf("usf: %v runs on core %d, which serves pid %d", t, core, p.curPid[core]))
+	}
+	t.SetQueuedAt(core)
+	if !p.cfg.DisableAffinity {
+		p.Stats.LocalPicks += int64(n)
+	}
+	// Yield j, from j = i on, is the first at or after the quantum's
+	// end, which it restarts.
+	for i := int64(0); ; {
+		j := i
+		if due := p.sliceStart[core].Add(p.cfg.ProcessQuantum); due > first {
+			j = max(j, (int64(due-first)+int64(step)-1)/int64(step))
+		}
+		if j >= int64(n) {
+			return
+		}
+		p.sliceStart[core] = first.Add(sim.Duration(j) * step)
+		i = j + 1
+	}
+}
 
 // notePick charges the placement to the pid's quantum bookkeeping so that
 // direct idle placements also count as serving that process.
