@@ -8,8 +8,10 @@ BENCHTIME ?= 1x
 # warm-up; they get a real iteration count while the artefact benchmarks
 # stay at one full simulation each.
 SIM_BENCHTIME ?= 100000x
+# COUNT repeats every benchmark; benchjson then records the medians.
+COUNT     ?= 1
 BENCH     ?= .
-BENCH_OUT ?= BENCH_PR23.json
+BENCH_OUT ?= BENCH_PR25.json
 
 .PHONY: test race lint bench bench-json quick
 
@@ -45,9 +47,9 @@ quick:
 # text.
 bench:
 	set -o pipefail; \
-	go test -bench=$(BENCH) -benchtime=$(BENCHTIME) -benchmem -run='^$$' \
+	go test -bench=$(BENCH) -benchtime=$(BENCHTIME) -count=$(COUNT) -benchmem -run='^$$' \
 		$$(go list ./... | grep -v -e '/internal/sim$$' -e '/internal/sim/pdes$$') | tee bench.txt && \
-	go test -bench=$(BENCH) -benchtime=$(SIM_BENCHTIME) -benchmem -run='^$$' \
+	go test -bench=$(BENCH) -benchtime=$(SIM_BENCHTIME) -count=$(COUNT) -benchmem -run='^$$' \
 		./internal/sim ./internal/sim/pdes | tee -a bench.txt
 
 # bench-json runs the tier-1 benchmarks and writes the machine-readable

@@ -10,7 +10,9 @@ import (
 )
 
 // The -diff mode: compare two BENCH_*.json perf trajectories and turn
-// the committed baseline into a gate (ROADMAP item 5b). Allocs/op
+// the committed baseline into a gate (ROADMAP item 5b). A benchmark
+// recorded from repeated runs (go test -count N) is compared by its
+// medians, against the same thresholds. Allocs/op
 // increases fail — the engine core earned its 0 allocs/op and keeps
 // it — and ns/op may drift up at most nsTolerance before it counts as
 // a regression, because wall-time is noisy across hosts while alloc
@@ -50,6 +52,7 @@ type benchDelta struct {
 	simDiffs   []string // changed sim-* metrics, "name old -> new"
 	missingNew bool
 	missingOld bool
+	runs       [2]int // old and new Runs, for the report
 }
 
 func benchKey(b Benchmark) string {
@@ -83,6 +86,7 @@ func diffReports(old, new *Report) []benchDelta {
 			newNs:     nb.NsPerOp,
 			oldAllocs: ob.AllocsPerOp,
 			newAllocs: nb.AllocsPerOp,
+			runs:      [2]int{ob.Runs, nb.Runs},
 		}
 		if ob.NsPerOp > 0 {
 			d.nsRatio = nb.NsPerOp / ob.NsPerOp
@@ -170,6 +174,9 @@ func writeDiff(w io.Writer, deltas []benchDelta) (failed bool) {
 			}
 			for _, sd := range d.simDiffs {
 				line += "  SIM METRIC CHANGED: " + sd
+			}
+			if d.runs[0] > 1 || d.runs[1] > 1 {
+				line += fmt.Sprintf("  [medians of %d -> %d runs]", max(d.runs[0], 1), max(d.runs[1], 1))
 			}
 			fmt.Fprintln(w, line)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -208,5 +209,42 @@ func TestRunDiffEndToEnd(t *testing.T) {
 	}
 	if code := runDiff(filepath.Join(dir, "absent.json"), goodPath, &out, &errb); code != 2 {
 		t.Fatalf("missing file exited %d, want 2", code)
+	}
+}
+
+// TestDiffGatesOnMedians: with repeated runs the gate compares medians,
+// so one slow run on either side does not decide it, while a shifted
+// median still fails at the unchanged threshold.
+func TestDiffGatesOnMedians(t *testing.T) {
+	runs := func(ns ...int) string {
+		var sb strings.Builder
+		for _, n := range ns {
+			fmt.Fprintf(&sb, "BenchmarkA-4 1 %d ns/op 0 allocs/op\n", n)
+		}
+		return sb.String()
+	}
+	mustParse := func(in string) *Report {
+		t.Helper()
+		rep, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	old := mustParse(runs(100, 102, 98, 400, 101))
+	for _, tc := range []struct {
+		in   string
+		fail bool
+	}{
+		{runs(105, 99, 300, 104, 103), false}, // one outlier, median +2%
+		{runs(115, 112, 90, 114, 113), true},  // median +12%
+	} {
+		var sb strings.Builder
+		if failed := writeDiff(&sb, diffReports(old, mustParse(tc.in))); failed != tc.fail {
+			t.Fatalf("%q: failed = %v, want %v:\n%s", tc.in, failed, tc.fail, sb.String())
+		}
+		if !strings.Contains(sb.String(), "medians of 5 -> 5 runs") {
+			t.Fatalf("report does not say it compared medians:\n%s", sb.String())
+		}
 	}
 }

@@ -10,6 +10,12 @@
 //
 //	go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | benchjson -out BENCH_PR4.json
 //
+// The input may repeat each benchmark (go test -count N): the record
+// then holds the median ns/op, B/op, allocs/op and host-side metrics of
+// the runs, their count, and each run's ns/op. The sim-* metrics must be
+// equal in every run (they are simulated outcomes); a difference is an
+// error.
+//
 // It can also gate a fresh run against a committed baseline:
 //
 //	benchjson -diff BENCH_PR5.json BENCH_CI.json
@@ -32,15 +38,20 @@ import (
 	"strings"
 )
 
-// Benchmark is one parsed benchmark result line.
+// Benchmark is one benchmark's result: one parsed result line, or the
+// medians of its repeated runs.
 type Benchmark struct {
 	Name        string             `json:"name"`
 	Package     string             `json:"package,omitempty"`
-	Iterations  int64              `json:"iterations"`
+	Iterations  int64              `json:"iterations"` // summed over runs
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  *float64           `json:"b_per_op,omitempty"`
 	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Runs and NsPerOpRuns are set for a repeated benchmark: the number
+	// of runs and each run's ns/op, in input order.
+	Runs        int       `json:"runs,omitempty"`
+	NsPerOpRuns []float64 `json:"ns_per_op_runs,omitempty"`
 }
 
 // Report is the top-level JSON document.
@@ -98,7 +109,7 @@ func main() {
 
 // parse consumes `go test -bench` text output. Unknown lines are
 // ignored, so interleaved test output ("ok repro 1.2s", PASS) is
-// harmless.
+// harmless. Repeated runs of a benchmark merge into one record (merge).
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
 	pkg := ""
@@ -133,6 +144,11 @@ func parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	merged, err := mergeRuns(rep.Benchmarks)
+	if err != nil {
+		return nil, err
+	}
+	rep.Benchmarks = merged
 	sort.SliceStable(rep.Benchmarks, func(i, j int) bool {
 		if rep.Benchmarks[i].Package != rep.Benchmarks[j].Package {
 			return rep.Benchmarks[i].Package < rep.Benchmarks[j].Package
@@ -187,4 +203,91 @@ func parseBenchLine(line string) (Benchmark, bool) {
 		}
 	}
 	return b, seenNs
+}
+
+// mergeRuns merges the runs of each repeated benchmark (same package
+// and name) into one record at the first run's position: the median of
+// every per-op figure and host-side metric, iterations summed. A sim-*
+// metric that differs between runs, or that only some runs report, is
+// an error.
+func mergeRuns(runs []Benchmark) ([]Benchmark, error) {
+	byKey := make(map[string][]Benchmark)
+	var order []string
+	for _, b := range runs {
+		key := b.Package + "." + b.Name
+		if _, ok := byKey[key]; !ok {
+			order = append(order, key)
+		}
+		byKey[key] = append(byKey[key], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, key := range order {
+		rs := byKey[key]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		m := Benchmark{Name: rs[0].Name, Package: rs[0].Package, Runs: len(rs)}
+		var ns, bytes, allocs []float64
+		metrics := make(map[string][]float64)
+		for _, r := range rs {
+			m.Iterations += r.Iterations
+			ns = append(ns, r.NsPerOp)
+			if r.BytesPerOp != nil {
+				bytes = append(bytes, *r.BytesPerOp)
+			}
+			if r.AllocsPerOp != nil {
+				allocs = append(allocs, *r.AllocsPerOp)
+			}
+			for name, v := range r.Metrics {
+				metrics[name] = append(metrics[name], v)
+			}
+		}
+		m.NsPerOpRuns = ns
+		m.NsPerOp = median(ns)
+		if len(bytes) == len(rs) {
+			v := median(bytes)
+			m.BytesPerOp = &v
+		}
+		if len(allocs) == len(rs) {
+			v := median(allocs)
+			m.AllocsPerOp = &v
+		}
+		names := make([]string, 0, len(metrics))
+		for name := range metrics {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			vs := metrics[name]
+			if strings.HasPrefix(name, "sim-") {
+				if len(vs) != len(rs) {
+					return nil, fmt.Errorf("%s: %s reported by %d of %d runs", key, name, len(vs), len(rs))
+				}
+				for _, v := range vs[1:] {
+					if v != vs[0] {
+						return nil, fmt.Errorf("%s: %s differs between runs: %g and %g", key, name, vs[0], v)
+					}
+				}
+			}
+			if m.Metrics == nil {
+				m.Metrics = make(map[string]float64)
+			}
+			m.Metrics[name] = median(vs)
+		}
+		out = append(out, m)
+	}
+	return out, nil
+}
+
+// median returns the median of vs (the mean of the middle two for an
+// even count), leaving vs unsorted.
+func median(vs []float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

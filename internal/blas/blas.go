@@ -184,21 +184,24 @@ func (b *Lib) runTeam(threads int, perPhase sim.Duration) {
 		b.lib.ComputeOpts(perPhase*sim.Duration(b.cfg.Phases), opts)
 		return
 	}
-	var wait func()
+	var gb *glibc.Barrier
+	var sb *spin.Barrier
 	if b.cfg.BlockingBarrier {
 		// The "Manual" stack (§5.3): the busy-wait barrier is replaced
 		// with direct nOS-V blocking primitives (here: the glibc
 		// barrier, which under glibcv is the task-queue barrier).
-		gb := b.lib.NewBarrier(threads)
-		wait = func() { gb.Wait() }
+		gb = b.lib.NewBarrier(threads)
 	} else {
-		sb := spin.NewBarrier(b.lib, threads, b.cfg.YieldInBarrier)
-		wait = func() { sb.Wait() }
+		sb = spin.NewBarrier(b.lib, threads, b.cfg.YieldInBarrier)
 	}
 	body := func(tid int) {
 		for ph := 0; ph < b.cfg.Phases; ph++ {
 			b.lib.ComputeOpts(perPhase, opts)
-			wait()
+			if gb != nil {
+				gb.Wait()
+			} else {
+				sb.Wait()
+			}
 		}
 	}
 	switch b.cfg.Backend {
@@ -206,7 +209,7 @@ func (b *Lib) runTeam(threads int, perPhase sim.Duration) {
 		b.cfg.OMP.Parallel(threads, func(tid, nth int) { body(tid) })
 	case BackendPthread:
 		// A fresh team per call, destroyed afterwards.
-		var pts []*glibc.Pthread
+		pts := make([]*glibc.Pthread, 0, threads-1)
 		for i := 1; i < threads; i++ {
 			i := i
 			pts = append(pts, b.lib.PthreadCreate(

@@ -396,9 +396,20 @@ func TestPaperCellsReportEvents(t *testing.T) {
 	}
 }
 
+// TestFigure4EventsCountSkippedPolls: a Fig. 4 cell reports the events
+// it fired, while its hashed result keeps the polled count, which also
+// holds the two events of every BLAS barrier poll the engine skipped.
+func TestFigure4EventsCountSkippedPolls(t *testing.T) {
+	r := harness.Run(Figure4Jobs(QuickFigure4())[:1], 1)[0]
+	polled := r.Value.(Figure4Point).Result.Events
+	if r.Metric.Events <= 0 || r.Metric.Events >= polled {
+		t.Fatalf("cell %s fired %d events, polled count %d: want 0 < fired < polled", r.Metric.Cell, r.Metric.Events, polled)
+	}
+}
+
 // TestSchedCmpCellsReportEvents checks both schedcmp legs: the matmul
-// cells through matmul's Events out-parameter, the services cells from
-// inference.Result.Events.
+// cells through matmul's Events out-parameter, the services cells
+// through inference's Fired out-parameter.
 func TestSchedCmpCellsReportEvents(t *testing.T) {
 	cfg := QuickSchedCmp()
 	cfg.Classes, cfg.Oversub = cfg.Classes[:1], cfg.Oversub[:1]

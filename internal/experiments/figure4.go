@@ -107,6 +107,7 @@ func Figure4Jobs(cfg Figure4Config) []harness.Job {
 			jobs = append(jobs, harness.Job{
 				Name: fmt.Sprintf("%s/rate%.2f", scheme, rate),
 				Run: func() harness.Output {
+					var fired int64
 					res := inference.Run(inference.Config{
 						Machine:  cfg.Machine,
 						Scheme:   scheme,
@@ -117,12 +118,13 @@ func Figure4Jobs(cfg Figure4Config) []harness.Job {
 						Models:   cfg.Models,
 						Horizon:  cfg.Horizon,
 						Seed:     cfg.Seed,
+						Fired:    &fired,
 					})
 					return harness.Output{
 						Value:    Figure4Point{Scheme: scheme, Rate: rate, Result: res},
 						SimTime:  res.Elapsed,
 						TimedOut: res.TimedOut,
-						Events:   res.Events,
+						Events:   fired,
 					}
 				},
 			})

@@ -144,6 +144,7 @@ func SchedCmpJobs(cfg SchedCmpConfig) []harness.Job {
 			jobs = append(jobs, harness.Job{
 				Name: fmt.Sprintf("services/%s/oversub%d", class, f),
 				Run: func() harness.Output {
+					var fired int64
 					res := inference.Run(inference.Config{
 						Machine:     cfg.Machine,
 						Scheme:      inference.BlNone,
@@ -155,12 +156,13 @@ func SchedCmpJobs(cfg SchedCmpConfig) []harness.Job {
 						Horizon:     cfg.Horizon,
 						Seed:        cfg.Seed,
 						KernelClass: class,
+						Fired:       &fired,
 					})
 					return harness.Output{
 						Value:    SchedCmpServiceCell{Class: class, Factor: f, Result: res},
 						SimTime:  res.Elapsed,
 						TimedOut: res.TimedOut,
-						Events:   res.Events,
+						Events:   fired,
 					}
 				},
 			})

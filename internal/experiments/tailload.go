@@ -189,6 +189,7 @@ func TailLoadJobs(cfg TailLoadConfig) []harness.Job {
 				jobs = append(jobs, harness.Job{
 					Name: fmt.Sprintf("%s/%s/load%.2f", shape.Name, scheme.Name, rate),
 					Run: func() harness.Output {
+						var fired int64
 						res := inference.Run(inference.Config{
 							Machine:         cfg.Machine,
 							Scheme:          scheme.Scheme,
@@ -204,6 +205,7 @@ func TailLoadJobs(cfg TailLoadConfig) []harness.Job {
 							SLO:             cfg.SLO,
 							MaxInFlight:     cfg.MaxInFlight,
 							MetricsInterval: cfg.MetricsInterval,
+							Fired:           &fired,
 						})
 						return harness.Output{
 							Value: TailLoadCell{
@@ -212,7 +214,7 @@ func TailLoadJobs(cfg TailLoadConfig) []harness.Job {
 							},
 							SimTime:  res.Elapsed,
 							TimedOut: res.TimedOut,
-							Events:   res.Events,
+							Events:   fired,
 							Samples:  res.Samples,
 						}
 					},

@@ -184,10 +184,12 @@ type SpinWait struct {
 	N    int
 	// Yield enables the sched_yield patch.
 	Yield bool
-	// Lull, when set, fast-forwards the wait while nothing can observe
-	// it (package spin's lone stretches); only a wait whose condition's
-	// every change is notified has one.
-	Lull *sim.Lull
+	// Watched marks a wait whose condition's every change is notified
+	// (package spin's watched waits); only such a wait fast-forwards
+	// while nothing can observe it. Next links it into its watch's list
+	// of waits.
+	Watched bool
+	Next    *SpinWait
 	// Spins counts finished polls; YieldDue marks a poll whose
 	// sched_yield is still to be made; Done marks a satisfied Cond.
 	Spins    int
@@ -234,16 +236,17 @@ func (w *SpinWait) StartCompute(d sim.Duration) bool {
 // kernel.Thread.ParkStep).
 func (w *SpinWait) ParkStep(step func(any) bool) { w.self.KT.ParkStep(step, w) }
 
-// Lone reports whether nothing can observe the waiting thread's next
-// bursts and polls: the kernel thread is Lone, and under glibcv each
-// sched_yield, if yield is set, is a self-yield the policy can skip
-// (nosv.Instance.YieldLone).
-func (w *SpinWait) Lone() bool {
+// KeepsCore reports whether nothing can observe the waiting thread's
+// next bursts and polls: the kernel thread keeps its core through them
+// (kernel.Thread.KeepsCore; under glibcv its sched_yields do not reach
+// the kernel), and under glibcv each sched_yield, if yield is set, is a
+// self-yield the policy can skip (nosv.Instance.YieldLone).
+func (w *SpinWait) KeepsCore() bool {
 	pt := w.self
-	if !pt.KT.Lone() {
-		return false
+	if w.Lib.Inst == nil {
+		return pt.KT.KeepsCore(w.Yield)
 	}
-	return w.Lib.Inst == nil || !w.Yield || w.Lib.Inst.YieldLone(pt.task)
+	return pt.KT.KeepsCore(false) && (!w.Yield || w.Lib.Inst.YieldLone(pt.task))
 }
 
 // PendingPenalty returns the overhead the waiting thread's next burst
@@ -261,14 +264,18 @@ func (w *SpinWait) YieldPenalty() sim.Duration {
 }
 
 // StartLull lulls the waiting thread with grid gaps a and b, calling
-// fn(w) when the lull wakes (kernel.Thread.StartLull).
-func (w *SpinWait) StartLull(a, b sim.Duration, fn func(any)) {
-	w.self.KT.StartLull(w.Lull, a, b, fn, w)
+// fn(l, w) when the lull wakes (kernel.Thread.StartLull).
+func (w *SpinWait) StartLull(a, b sim.Duration, fn func(l *sim.Lull, arg any)) {
+	w.self.KT.StartLull(a, b, fn, w)
 }
 
+// WakeLull wakes the waiting thread's lull, if it has one.
+func (w *SpinWait) WakeLull() { w.self.KT.WakeLull() }
+
 // SkipYields applies the bookkeeping of n sched_yields the waiting
-// thread made at first, first+step, ... while Lone: the library's and
-// the kernel's yield counters, or under glibcv nOS-V's self-yields.
+// thread made at first, first+step, ... while it kept its core: the
+// library's and the kernel's yield counters, or under glibcv nOS-V's
+// self-yields.
 func (w *SpinWait) SkipYields(first sim.Time, step sim.Duration, n int) {
 	l := w.Lib
 	l.Stats.Yields += int64(n)

@@ -569,3 +569,30 @@ func TestKernelEmitsTrace(t *testing.T) {
 		t.Fatal("empty chrome trace")
 	}
 }
+
+// TestKillBeforeStartExitsThread: a one-core process's main thread
+// returns while the pthread it just created is still queued, so process
+// exit kills a thread whose code never started. It must leave the kernel
+// as any exit does: counted, off its runqueue, not runnable, so the run
+// ends at once instead of dispatching a dead thread until the horizon.
+func TestKillBeforeStartExitsThread(t *testing.T) {
+	cfg := hw.SmallNode()
+	cfg.Topo.CoresPerSocket = 1
+	eng := sim.NewEngine(1)
+	k := kernel.New(eng, cfg, kernel.DefaultSchedParams())
+	var child *Pthread
+	mustStart(t, k, "app", Options{}, func(l *Lib) {
+		child = l.PthreadCreate("child", func() { t.Error("killed thread ran") })
+		l.Compute(1500 * sim.Microsecond)
+	})
+	end, hit, err := eng.RunHorizon(sim.Second)
+	if err != nil || hit || end >= sim.Time(sim.Second) {
+		t.Fatalf("run ended at %v (horizon hit %v, err %v)", end, hit, err)
+	}
+	if k.Stats.ThreadsExited != 2 || k.Stats.ThreadsCreated != 2 {
+		t.Fatalf("%d of %d threads exited", k.Stats.ThreadsExited, k.Stats.ThreadsCreated)
+	}
+	if child.KT.State() != kernel.ThreadExited || k.TotalRunnable() != 0 || eng.Live() != 0 {
+		t.Fatalf("child %v, %d runnable, %d live procs", child.KT.State(), k.TotalRunnable(), eng.Live())
+	}
+}

@@ -189,6 +189,9 @@ func (c *Core) onPreemptTimer() {
 		c.armPreempt()
 		return
 	}
+	// A lulled thread's burst in flight becomes real before the
+	// expiry looks at it.
+	t.proc.WakeLull()
 	if t.seg == nil || !t.seg.running {
 		// The thread sits at a zero-time call boundary; make it
 		// self-preempt at its next scheduling point.

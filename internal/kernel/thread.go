@@ -285,13 +285,25 @@ func (t *Thread) ParkStep(step func(any) bool, arg any) {
 	t.proc.ParkStep(step, arg)
 }
 
-// Lone reports whether nothing competes for the thread's core: it is
-// running and no thread is queued there. A lone thread's compute burst
-// then ends undisturbed unless the kernel touches the core or the
-// thread, and each such path first wakes the thread's lull (see
-// StartLull).
-func (t *Thread) Lone() bool {
-	return t.state == ThreadRunning && t.kern.cores[t.curCore].nq == 0
+// KeepsCore reports whether the running thread keeps its core, whatever
+// its next compute bursts and (if yields is set) lazy sched_yields do,
+// until an event that is already queued or a kernel path that wakes its
+// lull first (see StartLull). That holds when nothing queued competes
+// for the core, and also while competitors can take the core only at
+// the slice-expiry timer or at the thread's armed lazy-yield switch:
+// YieldImmediate off, no resched request pending and, if the thread
+// yields, the switch armed, so its yields only count.
+func (t *Thread) KeepsCore(yields bool) bool {
+	if t.state != ThreadRunning {
+		return false
+	}
+	if !t.kern.cores[t.curCore].hasCompetitor(t) {
+		return true
+	}
+	if t.kern.Params.YieldImmediate || t.needResched {
+		return false
+	}
+	return !yields || t.yieldEv.Active()
 }
 
 // PendingPenalty returns the dispatch and syscall overhead that the
@@ -301,15 +313,17 @@ func (t *Thread) PendingPenalty() sim.Duration { return t.pendingPenalty }
 // StartLull lulls the calling thread's proc (see sim.Engine.Lull) with
 // grid gaps a and b instead of starting its next compute burst; the
 // pending penalty is dropped, as the caller's grid accounts for it.
-// The thread must be Lone and must park right after (or stay parked,
-// in a resume step). Until the lull wakes, an enqueue on its core and a
-// stop or preemption there (a migration by SetAffinity, the exit of a
-// killed thread) each wake it first, so fn can re-create the burst in
-// flight (ResumeCompute) before anything looks at it.
-func (t *Thread) StartLull(l *sim.Lull, a, b sim.Duration, fn func(any), arg any) {
+// The thread must keep its core (KeepsCore) and must park right after
+// (or stay parked, in a resume step). Until the lull wakes, every
+// kernel path that could take the core or look at the thread wakes it
+// first, so fn can re-create the burst in flight (ResumeCompute): an
+// enqueue on its core, a stop there (a preemption, a migration by
+// SetAffinity, the exit of a killed thread), the core's slice-expiry
+// timer and the thread's lazy-yield switch.
+func (t *Thread) StartLull(a, b sim.Duration, fn func(l *sim.Lull, arg any), arg any) {
 	t.assertCurrent()
 	t.pendingPenalty = 0
-	t.kern.Eng.Lull(l, t.proc, a, b, fn, arg)
+	t.kern.Eng.Lull(t.proc, a, b, fn, arg)
 }
 
 // WakeLull wakes the thread's lull, if it has one (see StartLull).
@@ -396,6 +410,9 @@ func lazyYieldSwitch(arg any) {
 	if c.curr != t || !c.hasCompetitor(t) {
 		return
 	}
+	// A lulled yielder's burst in flight becomes real before the switch
+	// looks at it.
+	t.proc.WakeLull()
 	if t.seg == nil || !t.seg.running {
 		t.needResched = true
 		return
@@ -525,10 +542,15 @@ func (t *Thread) setClass(cl Class) {
 
 // Kill forcibly terminates a thread that is not currently executing (the
 // exit(2) path tearing down a process's remaining threads). The thread's
-// proc unwinds; kernel bookkeeping is released by the exit handler.
+// proc unwinds; kernel bookkeeping is released by the exit handler. A
+// thread whose code never started has no exit handler to run (its proc
+// returns before its body), so it exits here.
 func (t *Thread) Kill() {
 	if t.state == ThreadExited {
 		return
+	}
+	if t.proc.State() == sim.ProcCreated {
+		t.kern.exitThread(t)
 	}
 	t.kern.Eng.Kill(t.proc)
 }

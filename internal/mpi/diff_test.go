@@ -13,11 +13,12 @@ import (
 	"repro/internal/usf"
 )
 
-// The differential oracle for lone waits: every scenario runs once over
-// World/Rank, whose waits fast-forward while lone, and once over
-// refWorld/refRank below, a test-only copy of the same protocol over the
-// straight-line poll loop (one park and resume per poll). Everything but
-// the engine's event count must agree.
+// The differential oracle for fast-forwarded waits: every scenario runs
+// once over World/Rank, whose waits fast-forward while their threads
+// keep their cores, and once over refWorld/refRank below, a test-only
+// copy of the same protocol over the straight-line poll loop (one park
+// and resume per poll). Everything must agree, the event count as
+// fired plus skipped events.
 
 // refChunk is package spin's burst schedule.
 func refChunk(i int, yield bool) sim.Duration {
@@ -336,15 +337,17 @@ func (r *run) snapshot() snapshot {
 type scenario func(r *run)
 
 // compare runs sc with and without the fast-forward and requires equal
-// snapshots, and fewer events with it when lone is set.
+// snapshots, the fired plus skipped events of the one equal to the
+// fired events of the other, and fewer fired events with the
+// fast-forward when lone is set.
 func compare(t *testing.T, name string, m mode, cores, size, probe int, sc scenario, lone bool) {
 	t.Helper()
 	var snaps [2]snapshot
-	var events [2]uint64
+	var fired, skipped [2]uint64
 	for i, ff := range []bool{true, false} {
 		r := newRun(m, ff, cores, size, probe)
 		sc(r)
-		snaps[i], events[i] = r.snapshot(), r.eng.Processed()
+		snaps[i], fired[i], skipped[i] = r.snapshot(), r.eng.Processed(), r.eng.Skipped()
 	}
 	if !reflect.DeepEqual(snaps[0], snaps[1]) {
 		t.Fatalf("%s %v: fast-forward and reference diverge:\nff:        %+v\nreference: %+v", name, m, snaps[0], snaps[1])
@@ -352,8 +355,11 @@ func compare(t *testing.T, name string, m mode, cores, size, probe int, sc scena
 	if len(snaps[0].Log) == 0 {
 		t.Fatalf("%s %v: scenario observed nothing", name, m)
 	}
-	if lone && events[0] >= events[1] {
-		t.Fatalf("%s %v: %d events with the fast-forward, %d without: no wait fast-forwarded", name, m, events[0], events[1])
+	if skipped[1] != 0 || fired[0]+skipped[0] != fired[1] {
+		t.Fatalf("%s %v: %d fired + %d skipped events with the fast-forward, %d fired without", name, m, fired[0], skipped[0], fired[1])
+	}
+	if lone && fired[0] >= fired[1] {
+		t.Fatalf("%s %v: %d events with the fast-forward, %d without: no wait fast-forwarded", name, m, fired[0], fired[1])
 	}
 }
 
@@ -529,9 +535,9 @@ func horizonScenario(r *run) {
 var modes = []mode{{}, {yield: true}, {coop: true}, {coop: true, yield: true}}
 
 // TestLoneWaitsMatchReferenceLoop holds the fast-forwarded MPI waits to
-// the straight-line loop: counters, CPU times, observations and clocks
-// agree under both schedulers, yield patch on and off, and the fast
-// path fired fewer events.
+// the straight-line loop: counters, CPU times, observations, clocks and
+// fired plus skipped events agree under both schedulers, yield patch on
+// and off, and the fast path fired fewer events.
 func TestLoneWaitsMatchReferenceLoop(t *testing.T) {
 	for _, m := range modes {
 		m := m

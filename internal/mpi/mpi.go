@@ -53,7 +53,7 @@ type Rank struct {
 	got     message
 	// watch notifies the rank's wait in progress of a new message from
 	// recvSrc or of a barrier passing, so the wait can fast-forward
-	// while it is lone.
+	// while its thread keeps its core.
 	watch spin.Watch
 }
 

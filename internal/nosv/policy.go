@@ -49,8 +49,8 @@ type YieldAware interface {
 // observes: SkipSelfYields applies the policy's bookkeeping of n yields
 // by t, running on core, at the instants first, first+step, ... as if
 // each had been made while YieldRepicks held and the core was t's
-// throughout, so each re-picked t. A busy-wait fast-forwarding a lone
-// stretch (package spin) calls it when the stretch ends.
+// throughout, so each re-picked t. A busy-wait fast-forwarding a
+// stretch nobody observes (package spin) calls it when the stretch ends.
 type YieldSkipper interface {
 	SkipSelfYields(core int, t *Task, first sim.Time, step sim.Duration, n int)
 }

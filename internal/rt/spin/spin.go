@@ -23,24 +23,29 @@
 // The step is the one place where this package's code runs on the
 // engine stack, and it must never park.
 //
-// A watched wait (UntilWatched: the MPI progress engine's, whose
-// condition changes only where its owner notifies) stops firing polls
-// while it is lone: once the bursts reach their full length, a poll
-// that finds the condition false, nothing queued on the thread's core
-// and, under glibcv, a self-yield ahead, lulls the thread (sim.Lull)
-// instead of starting the next burst. The skipped polls then sit on a
-// fixed grid, the burst plus the kernel entry of every other poll's
-// sched_yield, and affect nothing but counters. A notify, any kernel or
-// nOS-V interaction with the thread or its core, the end of the run,
-// or an event scheduled for exactly the end of the burst in flight
-// wakes the lull: the skipped polls' bookkeeping (Spins and the yield
-// parity, the yield counters, under SCHED_COOP the policy's picks and
-// process quantum) is applied at once, and the burst in flight gets
-// its end event, from which the next poll runs exactly as it would
-// have. Tables and counters are unchanged; only the event count drops.
-// BLAS barriers (Barrier, Until, UntilFunc) keep firing every poll:
-// Fig. 4's inference results carry their engine's event count, which
-// the paper artefacts' fingerprints include.
+// A watched wait (UntilWatched: the MPI progress engine's, and every
+// Barrier's, whose conditions change only where their owners notify)
+// stops firing polls while its thread keeps its core: once the bursts
+// reach their full length, a poll that finds the condition false lulls
+// the thread (sim.Lull) instead of starting the next burst if nothing
+// but an event already queued can take the core away before the next
+// burst ends. That is, nothing queued on the core competes, or the
+// competitors must wait for the core's slice-expiry timer or, if the
+// thread yields, its armed lazy-yield switch (kernel.Thread.KeepsCore:
+// YieldImmediate off, no resched request pending); and, under glibcv
+// with yield, each sched_yield is a self-yield. The skipped polls then
+// sit on a fixed grid, the burst plus the kernel entry of every other
+// poll's sched_yield, and affect nothing but counters. A notify, any
+// kernel or nOS-V interaction with the thread or its core (an enqueue
+// or a stop there, the slice-expiry timer, the lazy-yield switch), the
+// end of the run, or an event scheduled for exactly the end of the
+// burst in flight wakes the lull: the skipped polls' bookkeeping (Spins
+// and the yield parity, the yield counters, under SCHED_COOP the
+// policy's picks and process quantum) is applied at once, and the burst
+// in flight gets its end event, from which the next poll runs exactly
+// as it would have. Tables and counters are unchanged; only the fired
+// event count drops, by two per skipped poll (sim.Engine.Skipped). Until
+// and UntilFunc, whose conditions nobody notifies, fire every poll.
 package spin
 
 import (
@@ -90,20 +95,47 @@ func UntilFunc(l *glibc.Lib, cond func(arg any, n int) bool, arg any, n int, yie
 	until(l, cond, arg, n, yield, nil)
 }
 
-// A Watch is the notify side of a wait that may fast-forward (see
-// UntilWatched), and holds its lull. The zero Watch is ready for use.
-type Watch struct{ lull sim.Lull }
+// A Watch is the notify side of watched waits (see UntilWatched): it
+// lists the waits in progress on it, linked through their threads' busy-
+// wait slots, so watching allocates nothing. The zero Watch is ready for
+// use.
+type Watch struct{ waits *glibc.SpinWait }
 
-// Notify tells the watched wait, if one is in progress, that its
-// condition may have changed. A lone wait's polls stop firing, so its
-// condition's every change must be notified; a notify that changes
-// nothing only costs the wait its fast-forward.
-func (x *Watch) Notify() { x.lull.Wake() }
+// Notify tells every wait in progress on x that its condition may have
+// changed. A watched wait's polls stop firing while its thread keeps its
+// core, so its condition's every change must be notified; a notify that
+// changes nothing only costs the wait its fast-forward.
+func (x *Watch) Notify() {
+	for w := x.waits; w != nil; w = w.Next {
+		w.WakeLull()
+	}
+}
+
+// release is Notify for a change that ends every wait on x: the waits
+// leave the list at once, and their own removal later finds nothing.
+func (x *Watch) release() {
+	ws := *x
+	*x = Watch{}
+	ws.Notify()
+}
+
+// add puts w on x's list.
+func (x *Watch) add(w *glibc.SpinWait) { w.Next, x.waits = x.waits, w }
+
+// remove takes w off x's list, if it is there.
+func (x *Watch) remove(w *glibc.SpinWait) {
+	for p := &x.waits; *p != nil; p = &(*p).Next {
+		if *p == w {
+			*p = w.Next
+			return
+		}
+	}
+}
 
 // UntilWatched is UntilFunc for a condition that changes only where
-// its owner calls x.Notify: while the waiting thread is lone, its polls
-// are fast-forwarded instead of fired, exactly (see the package
-// comment).
+// its owner calls x.Notify: while the waiting thread keeps its core,
+// its polls are fast-forwarded instead of fired, exactly (see the
+// package comment).
 func UntilWatched(l *glibc.Lib, cond func(arg any, n int) bool, arg any, n int, yield bool, x *Watch) {
 	until(l, cond, arg, n, yield, x)
 }
@@ -112,9 +144,9 @@ func until(l *glibc.Lib, cond func(arg any, n int) bool, arg any, n int, yield b
 	if cond(arg, n) {
 		return
 	}
-	w := l.BindSpinWait(glibc.SpinWait{Cond: cond, Arg: arg, N: n, Yield: yield})
+	w := l.BindSpinWait(glibc.SpinWait{Cond: cond, Arg: arg, N: n, Yield: yield, Watched: x != nil})
 	if x != nil {
-		w.Lull = &x.lull
+		x.add(w)
 	}
 	w.StartCompute(chunk(0, yield))
 	for {
@@ -122,6 +154,9 @@ func until(l *glibc.Lib, cond func(arg any, n int) bool, arg any, n int, yield b
 		if w.Done || !poll(w, false) {
 			break
 		}
+	}
+	if x != nil {
+		x.remove(w)
 	}
 	*w = glibc.SpinWait{}
 }
@@ -153,7 +188,7 @@ func poll(w *glibc.SpinWait, inStep bool) bool {
 		return false
 	}
 	c := chunk(w.Spins, w.Yield)
-	if w.Lull != nil && c == chunk(w.Spins+1, w.Yield) && w.Lone() {
+	if w.Watched && c == chunk(w.Spins+1, w.Yield) && w.KeepsCore() {
 		pen := sim.Duration(0)
 		if yielded {
 			pen = w.YieldPenalty()
@@ -169,7 +204,7 @@ func poll(w *glibc.SpinWait, inStep bool) bool {
 	return true
 }
 
-// lull fast-forwards a lone wait from the poll that just ran, Spins
+// lull fast-forwards a watched wait from the poll that just ran, Spins
 // w.Spins, whose burst would be c of work after pen of yield overhead:
 // the polls to come are the lull's grid instants. The bursts alternate
 // between one after a yield poll (even Spins with yield set), c plus
@@ -182,14 +217,13 @@ func lull(w *glibc.SpinWait, c, pen sim.Duration) {
 	w.StartLull(a, b, wake)
 }
 
-// wake ends a wait's lull, whose gap in flight ends at w.Lull.Next(),
+// wake ends a wait's lull l, whose gap in flight ends at l.Next(),
 // Steps grid instants after the lull's start poll: it applies the
 // skipped polls' bookkeeping (Spins with the yield parity, and every
 // even-Spins poll's sched_yield) and re-creates the burst in flight, so
 // the next poll runs exactly as if none had been skipped.
-func wake(arg any) {
+func wake(l *sim.Lull, arg any) {
 	w := arg.(*glibc.SpinWait)
-	l := w.Lull
 	s0 := w.Spins
 	k := l.Steps()
 	last := s0 + int(k) - 1
@@ -212,7 +246,8 @@ func wake(arg any) {
 }
 
 // Barrier is a centralized sense-reversing busy-wait barrier, the shape
-// used by OpenBLAS/BLIS thread teams.
+// used by OpenBLAS/BLIS thread teams. Its waits are watched: the
+// releasing arrival notifies the waiters of its generation.
 type Barrier struct {
 	// Lib is the C library of the participating threads.
 	Lib *glibc.Lib
@@ -223,6 +258,7 @@ type Barrier struct {
 
 	count int
 	gen   int
+	watch Watch // the waits of generation gen
 }
 
 // NewBarrier returns a busy-wait barrier for n threads.
@@ -238,9 +274,10 @@ func (b *Barrier) Wait() bool {
 	if b.count == b.N {
 		b.count = 0
 		b.gen++
+		b.watch.release()
 		return true
 	}
-	UntilFunc(b.Lib, barrierPassed, b, gen, b.Yield)
+	UntilWatched(b.Lib, barrierPassed, b, gen, b.Yield, &b.watch)
 	return false
 }
 

@@ -54,11 +54,15 @@ type Engine struct {
 	// lull.go), in lullBuf until there are more than fit. lullNext and
 	// lullMax bound their Next fields, lullNext Forever when there is
 	// none, so AtFunc's guard is one comparison while no lull is active.
+	// lullFree holds the woken Lulls for reuse; skipped counts the
+	// events lulls skipped.
 	lulls    []*Lull
 	lullBuf  [16]*Lull
 	lullNext Time
 	lullMax  Time
 	lullReg  uint64
+	lullFree *Lull
+	skipped  uint64
 }
 
 // NewEngine returns an engine whose RNG streams derive from seed.

@@ -25,39 +25,51 @@ package sim
 //     skipped one did;
 //   - the end of a Run (queue drained, horizon, Stop), KillAll, and
 //     Kill of the proc;
-//   - any wake its owner requests (Wake, Proc.WakeLull), before it
-//     interacts with the proc.
+//   - any wake its owner requests (Proc.WakeLull), before it interacts
+//     with the proc.
 //
 // Lulls woken together whose gaps end at the same instant get their
 // events in the order the skipped ones were scheduled in (lullBefore).
+//
+// The engine owns every Lull: it hands one to the wake fn, which may read
+// it until it returns, and then recycles it, so lulling allocates only
+// when more procs are lulled at once than ever before. Each skipped grid
+// instant counts as two skipped events (Skipped), the end event and the
+// resume that would have fired there.
 type Lull struct {
 	start Time
 	a, b  Duration
 	next  Time
 	reg   uint64 // registration order, the tie-break of lullBefore
-	on    bool
-	i     int // index in the engine's lulls while on
+	i     int    // index in the engine's lulls while active
 
-	e   *Engine
-	p   *Proc
-	fn  func(any)
-	arg any
+	p    *Proc // nil once woken
+	fn   func(l *Lull, arg any)
+	arg  any
+	free *Lull // next in the engine's free list
 }
 
-// Lull starts l for the parked (or about to park) proc p at the current
-// instant, with grid gaps a, b > 0. fn(arg) runs when the lull is woken,
-// from event context or another proc's; it must re-create p's activity
-// in flight (an event at Next) and must not park.
-func (e *Engine) Lull(l *Lull, p *Proc, a, b Duration, fn func(any), arg any) {
+// Lull lulls the parked (or about to park) proc p from the current
+// instant, with grid gaps a, b > 0. fn(l, arg) runs when the lull is
+// woken, from event context or another proc's; it must re-create p's
+// activity in flight (an event at l.Next()) and must not park. l is
+// valid only until fn returns.
+func (e *Engine) Lull(p *Proc, a, b Duration, fn func(l *Lull, arg any), arg any) {
 	if a <= 0 || b <= 0 {
 		panic("sim: Lull with a non-positive gap")
 	}
-	if l.on || p.lull != nil {
+	if p.lull != nil {
 		panic("sim: Lull on a proc that is already lulled")
 	}
+	l := e.lullFree
+	if l == nil {
+		l = new(Lull)
+	} else {
+		e.lullFree = l.free
+	}
 	e.lullReg++
-	*l = Lull{start: e.now, a: a, b: b, next: e.now.Add(a), reg: e.lullReg, on: true,
-		i: len(e.lulls), e: e, p: p, fn: fn, arg: arg}
+	*l = Lull{start: e.now, a: a, b: b, next: e.now.Add(a), reg: e.lullReg,
+		i: len(e.lulls), p: p, fn: fn, arg: arg}
 	p.lull = l
 	e.lulls = append(e.lulls, l)
 	e.lullNext = min(e.lullNext, l.next)
@@ -113,27 +125,24 @@ func (l *Lull) prev(t Time) Time {
 	return t - Time(l.a)
 }
 
-// Wake ends l now, together with every other lull whose gap in flight
-// ends at the same instant, and runs their fns. It is a no-op on an
-// inactive lull.
-func (l *Lull) Wake() {
-	if l.on {
-		l.e.catchUp()
-		l.e.wakeAt(l.next)
-	}
-}
-
-// WakeLull wakes p's lull, if it has one: a caller about to interact
-// with p (or with what p's lulled activity holds, such as its core)
-// makes the skipped activity real first.
+// WakeLull wakes p's lull, if it has one, together with every other
+// lull whose gap in flight ends at the same instant, and runs their fns:
+// a caller about to interact with p (or with what p's lulled activity
+// holds, such as its core) makes the skipped activity real first.
 func (p *Proc) WakeLull() {
-	if p.lull != nil {
-		p.lull.Wake()
+	if l := p.lull; l != nil {
+		p.eng.catchUp()
+		p.eng.wakeAt(l.next)
 	}
 }
 
 // Lulls returns the number of active lulls.
 func (e *Engine) Lulls() int { return len(e.lulls) }
+
+// Skipped returns the number of events the engine's woken lulls skipped:
+// two per skipped grid instant. Processed plus Skipped is the event
+// count of the same run with every lull's activity fired.
+func (e *Engine) Skipped() uint64 { return e.skipped }
 
 // lullBefore reports whether x's skipped event for grid instant at,
 // shared with y, was scheduled before y's: at the earlier previous
@@ -209,8 +218,9 @@ func (e *Engine) wakeSet(set []*Lull) {
 		e.lulls[l.i] = last
 		e.lulls[len(e.lulls)-1] = nil
 		e.lulls = e.lulls[:len(e.lulls)-1]
-		l.on = false
 		l.p.lull = nil
+		l.p = nil
+		e.skipped += 2 * uint64(l.Steps()-1)
 	}
 	e.lullNext, e.lullMax = Forever, 0
 	for _, l := range e.lulls {
@@ -227,7 +237,9 @@ func (e *Engine) wakeSet(set []*Lull) {
 		}
 	}
 	for _, l := range set {
-		l.fn(l.arg)
+		l.fn(l, l.arg)
+		l.fn, l.arg = nil, nil
+		l.free, e.lullFree = e.lullFree, l
 	}
 }
 

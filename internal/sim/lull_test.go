@@ -45,7 +45,6 @@ func TestLullGrid(t *testing.T) {
 type lullProbe struct {
 	e   *Engine
 	p   *Proc
-	l   Lull
 	log *[]string
 }
 
@@ -53,15 +52,15 @@ func (q *lullProbe) note(format string, args ...any) {
 	*q.log = append(*q.log, fmt.Sprintf("%d: ", q.e.Now())+fmt.Sprintf(format, args...))
 }
 
-func (q *lullProbe) wake(any) {
-	q.note("%s wakes for step %d at %d", q.p.Name, q.l.Steps(), q.l.Next())
-	q.e.AtFunc(q.l.Next(), func(any) { q.note("%s end", q.p.Name) }, nil)
+func (q *lullProbe) wake(l *Lull, _ any) {
+	q.note("%s wakes for step %d at %d", q.p.Name, l.Steps(), l.Next())
+	q.e.AtFunc(l.Next(), func(any) { q.note("%s end", q.p.Name) }, nil)
 }
 
 func newLullProbe(e *Engine, name string, log *[]string, a, b Duration) *lullProbe {
 	q := &lullProbe{e: e, log: log}
 	q.p = e.Spawn(name, func(p *Proc) {
-		e.Lull(&q.l, p, a, b, q.wake, nil)
+		e.Lull(p, a, b, q.wake, nil)
 		p.Park()
 	})
 	e.Ready(q.p)
@@ -111,12 +110,17 @@ func TestLullWakes(t *testing.T) {
 		t.Fatalf("log:\n%q\nwant:\n%q", log, want)
 	}
 	for _, q := range []*lullProbe{x, y, z, w} {
-		if q.l.on {
+		if q.p.lull != nil {
 			t.Fatalf("%s still lulled", q.p.Name)
 		}
 	}
 	if e.Lulls() != 0 || e.Pending() != 1 {
 		t.Fatalf("%d lulls, %d events left", e.Lulls(), e.Pending())
+	}
+	// Skipped grid instants: x, y and w 3 each (up to 30, 30 and 25),
+	// z 6 (up to 60); two events each.
+	if e.Skipped() != 2*(3+3+3+6) {
+		t.Fatalf("skipped %d events, want %d", e.Skipped(), 2*(3+3+3+6))
 	}
 	e.KillAll()
 }
@@ -139,7 +143,7 @@ func TestLullStopAndKill(t *testing.T) {
 		"31: y wakes for step 5 at 35",
 		"31: x wakes for step 4 at 40",
 	}
-	if !reflect.DeepEqual(log, want) || x.l.on || y.l.on {
+	if !reflect.DeepEqual(log, want) || x.p.lull != nil || y.p.lull != nil {
 		t.Fatalf("log:\n%q\nwant:\n%q", log, want)
 	}
 	e.KillAll()
