@@ -11,7 +11,7 @@ SIM_BENCHTIME ?= 100000x
 # COUNT repeats every benchmark; benchjson then records the medians.
 COUNT     ?= 1
 BENCH     ?= .
-BENCH_OUT ?= BENCH_PR25.json
+BENCH_OUT ?= BENCH_PR26.json
 
 .PHONY: test race lint bench bench-json quick
 

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | benchjson -out BENCH_PR4.json
+//	go test -bench=. -benchtime=1x -benchmem -run='^$' ./... | benchjson -out BENCH_PR26.json
 //
 // The input may repeat each benchmark (go test -count N): the record
 // then holds the median ns/op, B/op, allocs/op and host-side metrics of
@@ -18,7 +18,7 @@
 //
 // It can also gate a fresh run against a committed baseline:
 //
-//	benchjson -diff BENCH_PR5.json BENCH_CI.json
+//	benchjson -diff BENCH_PR26.json BENCH_CI.json
 //
 // which prints a per-benchmark comparison and exits non-zero if any
 // benchmark's allocs/op increased or its ns/op regressed by more than

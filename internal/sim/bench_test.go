@@ -45,8 +45,9 @@ func BenchmarkTimerChurnClosure(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerImmediate measures the same-instant ring path (the
-// resume-event pattern: every park/dispatch schedules one of these).
+// BenchmarkTimerImmediate measures same-instant scheduling (the
+// resume-event pattern: every park/dispatch schedules one of these):
+// once the current tick has drained, each event joins the due run.
 func BenchmarkTimerImmediate(b *testing.B) {
 	e := NewEngine(1)
 	nop := func(any) {}

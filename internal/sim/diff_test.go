@@ -2,15 +2,17 @@ package sim
 
 import "testing"
 
-// Differential test: the two-tier queue (ring/wheel with its due run) against a
-// naive reference engine — an unordered slice scanned for the minimum
-// (at, seq) on every fire. Both sides run the same randomized program of
-// At/AtFunc/Cancel/Run/RunWindow ops, including events that schedule
-// children and cancel victims from inside callbacks; the (id, at) firing
-// sequences and the pending counts must match exactly. This catches
-// merge bugs between the tiers that the unit tests can't enumerate:
-// cascade-order mistakes, cursor/bound off-by-ones, drains racing ring
-// heads, late inserts misplaced in the due run, stale idx encodings.
+// Differential test: the two-tier queue (the timing wheel and the due run
+// it drains into) against a naive reference engine — an unordered slice
+// scanned for the minimum (at, seq) on every fire. Both sides run the
+// same randomized program of At/AtFunc/Cancel/Run/RunWindow ops,
+// including events that schedule children — at their own instant, later
+// in their slot, or further out — and cancel victims from inside
+// callbacks; the (id, at) firing sequences and the pending counts must
+// match exactly. This catches ordering bugs the unit tests can't
+// enumerate: cascade-order mistakes, cursor/bound off-by-ones, late
+// inserts misplaced in the due run (at its tail or in its middle),
+// stale idx encodings.
 
 // refEvent is one scheduled callback in the reference engine.
 type refEvent struct {
@@ -131,12 +133,27 @@ func genDiffProgram(r *Rand, n int) []diffOp {
 	return ops
 }
 
-// childDelta derives a chained event's delay purely from its parent id,
-// so both interpreters compute identical timelines without sharing
-// state.
-func childDelta(id int) Duration {
+// child derives a chained event's instant, and whether the child chains
+// in turn, purely from its parent's id and instant, so both interpreters
+// compute identical timelines without sharing state. A quarter of the
+// children land on the parent's own instant and a quarter on a later
+// instant of its level-0 slot: the proc-resume pattern, a late insert
+// into a due run that may still hold later instants of the slot. The
+// rest land up to wheel level 2. A quarter of the children chain again,
+// so same-instant chains run a few links deep.
+func child(id int, at Time) (Time, bool) {
 	h := uint64(id) * 0x9e3779b97f4a7c15
-	return Duration(h % uint64(1<<(wheelShift+3*wheelSlotBits)))
+	chain := h>>60&3 == 0
+	switch h >> 62 {
+	case 0:
+		return at, chain
+	case 1:
+		if rest := (uint64(at) | (1<<wheelShift - 1)) - uint64(at); rest > 0 {
+			return at + Time(1+h%rest), chain
+		}
+		return at, chain
+	}
+	return at.Add(Duration(h % uint64(1<<(wheelShift+3*wheelSlotBits)))), chain
 }
 
 type fireRec struct {
@@ -160,7 +177,8 @@ func runDiffReal(t *testing.T, ops []diffOp) (fired []fireRec, pendings []int) {
 				handles[target%len(handles)].Cancel()
 			}
 			if chain {
-				scheduleReal(e.Now().Add(childDelta(id)), false, false, 0)
+				at, again := child(id, e.Now())
+				scheduleReal(at, again, false, 0)
 			}
 		}))
 	}
@@ -215,7 +233,8 @@ func runDiffRef(ops []diffOp) (fired []fireRec, pendings []int) {
 			handles[m.target%len(handles)].dead = true
 		}
 		if m.chain {
-			schedule(at.Add(childDelta(id)), false, false, 0)
+			cat, again := child(id, at)
+			schedule(cat, again, false, 0)
 		}
 	}
 	for _, op := range ops {

@@ -13,29 +13,20 @@ type Engine struct {
 	rng  *Rand
 	free []*event // recycled event storage; steady-state At allocates nothing
 
-	// wheel holds every future event with O(1) insert/cancel. When its
-	// leading level-0 slot becomes current, the slot's events are sorted
-	// by (at, seq) into the due run (due[dueHead:]) and fire from there;
-	// late inserts, whose slot has already drained, join the run in
-	// order. See wheel.go.
+	// wheel holds every event whose tick it has not yet drained, with
+	// O(1) insert/cancel. When its leading level-0 slot becomes current,
+	// the slot's events are sorted by (at, seq) into the due run
+	// (due[dueHead:]) and fire from there; later inserts for a drained
+	// tick — the current instant's proc resumes and After(0) chains
+	// included — join the run in order. See wheel.go.
 	wheel   timerWheel
 	due     []*event
 	dueHead int
 
-	// pending counts live queued events across every tier (wheel, due
-	// run, immediate ring): incremented at enqueue, decremented at fire
-	// and at Cancel, so Pending is O(1).
+	// pending counts live queued events in both tiers (wheel and due
+	// run): incremented at enqueue, decremented at fire and at Cancel,
+	// so Pending is O(1).
 	pending int
-
-	// imm is the immediate ring: events scheduled for the current
-	// instant (proc resumes, After(0) chains). Because the clock never
-	// runs backwards and seq increases, these arrive already sorted by
-	// (at, seq), so they skip the wheel entirely — an O(1) ring for
-	// roughly half of all event traffic. peekNext merges the ring head
-	// with the run head by (at, seq), preserving the exact global
-	// firing order.
-	imm     []*event
-	immHead int
 
 	cur     *Proc
 	nextPID int
@@ -106,16 +97,11 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// enqueue routes a freshly allocated event to the immediate ring (events
-// for the current instant), the timing wheel (future events), or the due
-// run (late inserts, whose wheel slot has already drained).
+// enqueue routes a freshly allocated event to the timing wheel (a tick
+// at or past the cursor) or the due run (a tick the wheel has already
+// drained).
 func (e *Engine) enqueue(ev *event) {
 	e.pending++
-	if ev.at == e.now {
-		ev.idx = idxImm
-		e.imm = append(e.imm, ev)
-		return
-	}
 	if uint64(ev.at)>>wheelShift >= e.wheel.pos {
 		e.wheel.place(ev)
 		e.wheel.inserts++
@@ -124,13 +110,13 @@ func (e *Engine) enqueue(ev *event) {
 	e.joinDue(ev)
 }
 
-// joinDue inserts a late event into the due run in (at, seq) order. It
-// usually belongs at the tail (fresh seq, often the run's own instant),
-// so the common case is an append; otherwise a binary search finds its
-// place and one copy opens the gap. A full array first drops its fired
-// prefix: when every firing run entry schedules a late insert, the run
-// never empties, and without the compaction its array would grow for as
-// long as that lasts.
+// joinDue inserts a late event into the due run in (at, seq) order: an
+// append when it is not before the run's tail, otherwise a binary search
+// and one copy to open the gap (a resume at the current instant lands
+// before the later instants of its slot). A full array first drops its
+// fired prefix: when every firing run entry schedules a late insert, the
+// run never empties, and without the compaction its array would grow for
+// as long as that lasts.
 func (e *Engine) joinDue(ev *event) {
 	ev.idx = idxDue
 	run := e.due
@@ -209,7 +195,7 @@ func (e *Engine) Live() int { return e.live }
 
 // Pending reports the number of queued events — O(1), from a live-event
 // counter maintained at schedule, fire, and cancel. Cancelled events
-// never count: wheel events are removed eagerly, ring and run events are
+// never count: wheel events are removed eagerly, run events are
 // invalidated (and uncounted) at cancel and their storage dropped at
 // peek.
 func (e *Engine) Pending() int { return e.pending }
@@ -220,58 +206,30 @@ func (e *Engine) Pending() int { return e.pending }
 // immediately, at its current time, without processing any events.
 func (e *Engine) Stop() { e.stopped = true }
 
-// peekNext returns the next event to fire — the smaller of the ring and
-// due-run heads by (at, seq) — or nil when no live event remains. Dead
-// (cancelled) ring and run entries reaching their head are dropped here.
-// When the run is exhausted and the wheel might hold the earliest event,
-// the wheel's next slot is drained into a fresh run first, so the
-// two-way merge yields exactly the global (at, seq) order.
+// peekNext returns the next event to fire — the due run's head — or nil
+// when no live event remains. Dead (cancelled) run entries reaching the
+// head are dropped here. Every wheel-resident event sits at a tick at or
+// past the cursor and every run entry below it (see wheel.go), so only
+// an exhausted run makes the wheel's next slot drain into a fresh one.
 func (e *Engine) peekNext() *event {
-	for e.immHead < len(e.imm) && e.imm[e.immHead].idx == idxDead {
-		e.recycle(e.imm[e.immHead])
-		e.imm[e.immHead] = nil
-		e.immHead++
-	}
-	if e.immHead == len(e.imm) && len(e.imm) > 0 {
-		e.imm = e.imm[:0]
-		e.immHead = 0
-	}
 	for e.dueHead < len(e.due) && e.due[e.dueHead].idx == idxDead {
 		e.recycle(e.due[e.dueHead])
 		e.dueHead++
 	}
-	var best *event
-	if e.immHead < len(e.imm) {
-		best = e.imm[e.immHead]
-	}
 	if e.dueHead == len(e.due) {
-		// Every wheel-resident event satisfies at >= wheel.pos<<wheelShift
-		// (see wheel.go), so a ring head strictly below that bound
-		// wins outright; at or beyond it the next slot must drain (ties
-		// too: an equal-instant wheel event may carry a smaller seq). A
-		// live run entry is always below the bound, so the wheel drains
-		// only once the run is exhausted.
-		if e.wheel.count == 0 || (best != nil && best.at < Time(e.wheel.pos<<wheelShift)) {
-			return best
+		if e.wheel.count == 0 {
+			return nil
 		}
 		e.wheel.drainNextSlot(e)
 	}
-	if rv := e.due[e.dueHead]; best == nil || before(rv, best) {
-		return rv
-	}
-	return best
+	return e.due[e.dueHead]
 }
 
-// fire unlinks the head event returned by peekNext and runs its
+// fire unlinks the due run's head, which peekNext returned, and runs its
 // callback, recycling the storage first so the callback itself may
 // schedule (and the pool may reuse) it.
 func (e *Engine) fire(ev *event) {
-	if ev.idx == idxImm {
-		e.imm[e.immHead] = nil
-		e.immHead++
-	} else {
-		e.dueHead++
-	}
+	e.dueHead++
 	e.pending--
 	e.now = ev.at
 	e.processed++

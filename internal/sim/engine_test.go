@@ -194,7 +194,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 	}
 }
 
-func TestHeapPropertyOrdered(t *testing.T) {
+func TestQueuePropertyOrdered(t *testing.T) {
 	// Property: events always fire in nondecreasing (at, seq) order no
 	// matter the insertion pattern.
 	f := func(times []uint16) bool {

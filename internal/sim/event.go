@@ -35,10 +35,9 @@ type event struct {
 // fields.
 const (
 	idxFree      = -1 // not queued (free, fired, or dropped after cancel)
-	idxImm       = -2 // queued in the engine's immediate ring
-	idxDue       = -3 // queued in the engine's due run
-	idxDead      = -4 // cancelled in the ring or run; dropped at peek
-	idxWheelBase = -5 // first wheel encoding; see above
+	idxDue       = -2 // queued in the engine's due run
+	idxDead      = -3 // cancelled in the due run; dropped at peek
+	idxWheelBase = -4 // first wheel encoding; see above
 )
 
 // Event is a cancellable handle to a scheduled callback. The zero Event
@@ -83,14 +82,14 @@ func (ev Event) Cancel() {
 		eng.recycle(e)
 		return
 	}
-	// Ring and run entries cannot be unlinked in O(1); mark the event
-	// dead (invalidated, so handles and callbacks are gone) and let peek
-	// drop the storage when it reaches the head.
+	// A run entry cannot be unlinked in O(1); mark the event dead
+	// (invalidated, so handles and callbacks are gone) and let peek drop
+	// the storage when it reaches the head.
 	e.idx = idxDead
 }
 
 // before reports whether a fires before b: the (at, seq) total order
-// every queue tier and the peek merge share.
+// the due run keeps.
 func before(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }

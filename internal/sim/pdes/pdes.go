@@ -24,8 +24,11 @@
 // because message timestamps are the same virtual instants a single
 // shared engine would have used — a sharded run reproduces the
 // single-engine timeline exactly up to same-nanosecond ties between
-// unrelated events, which the scenarios' continuous-time workloads do
-// not generate (and the determinism tests verify).
+// unrelated sends. Those ties are a known limitation, not an
+// impossibility: the scenarios' continuous-time workloads and chaos's
+// 32.768µs grid make them rare, but chaos_sharded at seeds 7 and 14
+// still hits one (one divergent line against the one-shard run; ROADMAP
+// item 1 orders such ties by simulated entity instead).
 //
 // A Group runs on its caller's goroutine: each window runs the active
 // shards one after another in id order, so pdes adds no host
@@ -65,9 +68,10 @@ type message struct {
 // messageLess is the barrier's total delivery order: delivery instant,
 // then send instant, then source shard, then the source's own send
 // order. The first two keys make the order shard-assignment-invariant
-// for the continuous-time workloads (distinct sends virtually never
-// share an exact nanosecond); the last two make it a total order
-// regardless.
+// while no two unrelated sends share an exact nanosecond; the last two
+// make it a total order regardless, but a tie they break by source shard
+// may differ from the one-shard run's enqueue order. Known limitation:
+// chaos_sharded's seeds 7 and 14 hit such a tie (ROADMAP item 1).
 func messageLess(a, b *message) bool {
 	if a.at != b.at {
 		return a.at < b.at

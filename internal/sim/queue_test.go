@@ -5,37 +5,32 @@ import (
 	"testing/quick"
 )
 
-// checkInvariants verifies the sortedness of the immediate ring and the
-// due run, the wheel's slot/occupancy/position invariants, and the O(1)
-// pending counter against a full recount.
+// checkInvariants verifies the two-tier routing rule — every due-run
+// entry at a tick below the wheel's cursor, every wheel event at or past
+// it — the due run's (at, seq) order, the wheel's slot/occupancy/position
+// invariants, and the O(1) pending counter against a full recount.
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
-	// queued checks one in-order tier (ring or due run) from its head:
-	// sorted by (at, seq), each entry live (idx = liveIdx) or cancelled
-	// (idxDead), and returns the live count.
-	queued := func(name string, q []*event, head int, liveIdx int32) int {
-		live := 0
-		for i := head; i < len(q); i++ {
-			ev := q[i]
-			switch ev.idx {
-			case liveIdx:
-				live++
-			case idxDead:
-			default:
-				t.Fatalf("%s[%d].idx = %d, want %d or %d", name, i, ev.idx, liveIdx, idxDead)
-			}
-			if i > head && before(ev, q[i-1]) {
-				t.Fatalf("%s unsorted at %d: (%d,%d) after (%d,%d)",
-					name, i, ev.at, ev.seq, q[i-1].at, q[i-1].seq)
-			}
-		}
-		return live
-	}
-	immLive := queued("imm", e.imm, e.immHead, idxImm)
-	dueLive := queued("due", e.due, e.dueHead, idxDue)
 	w := &e.wheel
-	if e.dueHead < len(e.due) && uint64(e.due[len(e.due)-1].at)>>wheelShift >= w.pos {
-		t.Fatalf("due run reaches tick %d, not below cursor %d", uint64(e.due[len(e.due)-1].at)>>wheelShift, w.pos)
+	// The due run from its head: sorted by (at, seq), each entry live
+	// (idxDue) or cancelled (idxDead), and behind the cursor.
+	dueLive := 0
+	for i := e.dueHead; i < len(e.due); i++ {
+		ev := e.due[i]
+		switch ev.idx {
+		case idxDue:
+			dueLive++
+		case idxDead:
+		default:
+			t.Fatalf("due[%d].idx = %d, want %d or %d", i, ev.idx, idxDue, idxDead)
+		}
+		if i > e.dueHead && before(ev, e.due[i-1]) {
+			t.Fatalf("due run unsorted at %d: (%d,%d) after (%d,%d)",
+				i, ev.at, ev.seq, e.due[i-1].at, e.due[i-1].seq)
+		}
+		if tick := uint64(ev.at) >> wheelShift; tick >= w.pos {
+			t.Fatalf("due[%d] at tick %d, not below cursor %d", i, tick, w.pos)
+		}
 	}
 	wheelTotal := 0
 	for lvl := 0; lvl < wheelLevels; lvl++ {
@@ -70,9 +65,9 @@ func checkInvariants(t *testing.T, e *Engine) {
 	if wheelTotal != w.count {
 		t.Fatalf("wheel count = %d, recount = %d", w.count, wheelTotal)
 	}
-	if want := wheelTotal + immLive + dueLive; e.pending != want {
-		t.Fatalf("pending counter = %d, recount = %d (wheel %d, imm %d, due %d)",
-			e.pending, want, wheelTotal, immLive, dueLive)
+	if want := wheelTotal + dueLive; e.pending != want {
+		t.Fatalf("pending counter = %d, recount = %d (wheel %d, due %d)",
+			e.pending, want, wheelTotal, dueLive)
 	}
 }
 
@@ -315,7 +310,7 @@ func TestAtFuncDelivery(t *testing.T) {
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := NewEngine(1)
 	nop := func(any) {}
-	// Warm the pool and the ring/wheel backing arrays.
+	// Warm the pool and the wheel and due-run backing arrays.
 	for i := 0; i < 100; i++ {
 		e.AfterFunc(Duration(i%7), nop, nil)
 	}
@@ -333,9 +328,9 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestHeapArbitraryRemovalProperty cancels events at random queue
+// TestQueueArbitraryRemovalProperty cancels events at random queue
 // positions and checks that the rest still fire in time order.
-func TestHeapArbitraryRemovalProperty(t *testing.T) {
+func TestQueueArbitraryRemovalProperty(t *testing.T) {
 	f := func(times []uint16, cancels []uint8) bool {
 		e := NewEngine(7)
 		var handles []Event

@@ -4,22 +4,22 @@ import "math/bits"
 
 // timerWheel is a hierarchical timing wheel (Varghese & Lauer's scheme,
 // as adopted by the Linux timer subsystem and Kafka's purgatory) that
-// holds every future event: slice expiries, quantum renewals, arrivals,
-// futex/retry timeouts. Insert and cancel are O(1) — a slot is an
-// unordered slice addressed by bit arithmetic, and each resident event
-// records its position in it — and the levels span every Time up to
-// Forever, so nothing overflows.
+// holds every event whose tick it has not yet drained: slice expiries,
+// quantum renewals, arrivals, futex/retry timeouts. Insert and cancel
+// are O(1) — a slot is an unordered slice addressed by bit arithmetic,
+// and each resident event records its position in it — and the levels
+// span every Time up to Forever, so nothing overflows.
 //
-// The wheel is invisible to the (at, seq) ordering contract: whenever
-// the earliest queued event might be wheel-resident, peekNext drains the
-// wheel's next level-0 slot (drainNextSlot), which sorts the slot's
-// events by (at, seq) into the engine's due run. They fire from the run
-// in that order, merged with the immediate ring by the same key. An
-// event scheduled for a tick whose slot has already drained (a late
-// insert) joins the run in order (Engine.joinDue). Draining moves pooled
-// event storage between queue tiers without touching callbacks,
-// handles, or sequence numbers, so firing order — and therefore every
-// artefact byte — is unchanged at any -par/-shards.
+// The wheel is invisible to the (at, seq) ordering contract: once the
+// due run is exhausted, peekNext drains the wheel's next level-0 slot
+// (drainNextSlot), which sorts the slot's events by (at, seq) into the
+// engine's due run, and they fire from the run in that order. An event scheduled for a tick whose slot has
+// already drained (a late insert: a proc resume or After(0) chain at the
+// current instant, or a later instant of the same slot) joins the run
+// in order (Engine.joinDue). Draining moves pooled event storage between
+// queue tiers without touching callbacks, handles, or sequence numbers,
+// so firing order — and therefore every artefact byte — is unchanged at
+// any -par/-shards.
 //
 // Geometry: wheelLevels levels of wheelSlots slots; a level-0 slot spans
 // 2^wheelShift ns (32.768µs) and each level is wheelSlots times coarser:
@@ -42,12 +42,12 @@ import "math/bits"
 // pos is the wheel's cursor: the next undrained level-0 tick. Every
 // wheel-resident event satisfies at >= pos<<wheelShift (level-0 events
 // sit at ticks >= pos; a level-k slot is cascaded into lower levels
-// before pos enters it), which is the bound peekNext uses to decide
-// whether to drain. Every due-run event sits at a tick below pos, so a
-// live run head always precedes the whole wheel. pos advances only
-// through drainNextSlot — never with the clock directly — so
-// RunWindow's park-at-window-edge clock jumps and NextEventTime peeks
-// need no wheel bookkeeping of their own.
+// before pos enters it), and enqueue routes by the same bound. Every
+// due-run event sits at a tick below pos, so a live run head always
+// precedes the whole wheel and peekNext drains only an exhausted run.
+// pos advances only through drainNextSlot — never with the clock
+// directly — so RunWindow's park-at-window-edge clock jumps and
+// NextEventTime peeks need no wheel bookkeeping of their own.
 const (
 	wheelShift    = 15 // log2 of the level-0 slot width in ns (32.768µs)
 	wheelSlotBits = 6  // log2 slots per level

@@ -7,7 +7,7 @@ import (
 	"unsafe"
 )
 
-// wheelDelta spreads test timers across the immediate ring and wheel
+// wheelDelta spreads test timers across the current instant and wheel
 // levels 0 to 5. Grid-aligned deltas
 // (whole level-0 slots) make many events share an instant, so drained
 // slots become due runs full of same-instant ties.
@@ -16,7 +16,7 @@ func wheelDelta(r *Rand) Duration {
 	case 7:
 		return Duration(r.Intn(4)+1) << wheelShift // grid-aligned, a few slots out
 	case 0:
-		return 0 // immediate ring
+		return 0 // the current instant: the due run once its tick drained
 	case 1:
 		return Duration(r.Intn(1 << wheelShift)) // inside one level-0 slot
 	case 2:
@@ -32,16 +32,19 @@ func wheelDelta(r *Rand) Duration {
 	}
 }
 
-// TestWheelPlacementTiers pins the routing rules: same-instant events hit
-// the ring, future events the wheel level that spans their distance (up
-// to Forever, at the top level), and events whose slot has already
-// drained join the due run.
+// TestWheelPlacementTiers pins the two-tier routing rule: an event at a
+// tick at or past the wheel's cursor goes to the wheel level that spans
+// its distance (up to Forever, at the top level), whether or not it is
+// for the current instant, and an event whose slot has already drained
+// joins the due run.
 func TestWheelPlacementTiers(t *testing.T) {
 	e := NewEngine(1)
-	e.At(0, func() {}) // at == now: immediate ring
-	if e.wheel.count != 0 || len(e.due) != 0 {
-		t.Fatalf("ring event leaked into wheel/run")
+	now := e.At(0, func() {}) // at == now, tick 0 not yet drained: level 0
+	if e.wheel.count != 1 || len(e.due) != 0 || e.wheel.occ[0] != 1 {
+		t.Fatalf("undrained current instant not on level 0 (wheel %d, run %d, occ %b)",
+			e.wheel.count, len(e.due), e.wheel.occ[0])
 	}
+	now.Cancel()
 	e.At(Time(3*(1<<wheelShift)), func() {})   // level 0
 	e.At(Time(100*(1<<wheelShift)), func() {}) // level 1
 	if e.wheel.count != 2 {
@@ -60,8 +63,9 @@ func TestWheelPlacementTiers(t *testing.T) {
 		t.Fatalf("events left behind: wheel %d, pending %d", e.wheel.count, e.Pending())
 	}
 	// After a wheel event fires, the cursor sits one past its drained
-	// slot while the clock sits inside it: a new event for the current
-	// (already-drained) tick must join the due run, yet still fire.
+	// slot while the clock sits inside it: new events for the current
+	// instant and for a later instant of the same (already-drained) tick
+	// must join the due run, yet still fire in (at, seq) order.
 	e2 := NewEngine(1)
 	e2.At(Time(3*(1<<wheelShift)), func() {})
 	if _, err := e2.RunAll(); err != nil {
@@ -71,20 +75,24 @@ func TestWheelPlacementTiers(t *testing.T) {
 		t.Fatalf("cursor = %d, want %d (one past the fired slot)", e2.wheel.pos, nowTick+1)
 	}
 	var got []Time
-	late := e2.At(e2.Now()+1, func() { got = append(got, e2.Now()) })
-	if e2.wheel.count != 0 || late.e.idx != idxDue {
-		t.Fatalf("behind-cursor event not in the due run (wheel %d, idx %d)", e2.wheel.count, late.e.idx)
+	rec := func() { got = append(got, e2.Now()) }
+	late := e2.At(e2.Now()+1, rec)
+	same := e2.At(e2.Now(), rec)
+	if e2.wheel.count != 0 || late.e.idx != idxDue || same.e.idx != idxDue {
+		t.Fatalf("behind-cursor events not in the due run (wheel %d, idx %d, %d)",
+			e2.wheel.count, late.e.idx, same.e.idx)
 	}
+	checkInvariants(t, e2)
 	if _, err := e2.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("behind-cursor event did not fire: %v", got)
+	if want := []Time{Time(3 << wheelShift), Time(3<<wheelShift) + 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("behind-cursor events fired at %v, want %v", got, want)
 	}
 }
 
 // TestWheelOrderingProperty is the cross-tier ordering property: events
-// whose times span the ring and the wheel levels fire in nondecreasing
+// whose times span the current instant and the wheel levels fire in nondecreasing
 // (at, seq) order regardless of insertion pattern.
 func TestWheelOrderingProperty(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
@@ -353,7 +361,7 @@ func TestWheelRunWindowPark(t *testing.T) {
 }
 
 // TestPendingCounterExact is the satellite pin: Pending must track
-// alloc/fire/cancel/recycle exactly, across the ring, wheel levels and
+// alloc/fire/cancel/recycle exactly, across the wheel levels and the
 // due run, through horizon splits, double cancels, and stale handles.
 func TestPendingCounterExact(t *testing.T) {
 	e := NewEngine(1)
@@ -368,10 +376,10 @@ func TestPendingCounterExact(t *testing.T) {
 
 	fired := 0
 	onFire := func(any) { fired++; model-- }
-	// One event in the ring, one on level 0, one on level 1 and one on
-	// the top level (Forever/2 leaves the churn below room to add
-	// deltas without overflowing Time).
-	ring := e.AtFunc(0, onFire, nil)
+	// One event at the current instant and one later on level 0, one on
+	// level 1 and one on the top level (Forever/2 leaves the churn below
+	// room to add deltas without overflowing Time).
+	instant := e.AtFunc(0, onFire, nil)
 	wheelEv := e.AtFunc(Time(5*(1<<wheelShift)), onFire, nil)
 	deep := e.AtFunc(Time(100*(1<<(wheelShift+wheelSlotBits))), onFire, nil)
 	over := e.AtFunc(Forever/2, onFire, nil)
@@ -379,14 +387,14 @@ func TestPendingCounterExact(t *testing.T) {
 		t.Fatal("Forever/2 event not on the top level")
 	}
 	model += 4
-	check("scheduled one per tier")
+	check("scheduled")
 
-	// Cancel the ring and wheel events; double cancel must not recount.
-	ring.Cancel()
+	// Cancel both level-0 events; double cancel must not recount.
+	instant.Cancel()
 	model--
-	check("ring cancel")
-	ring.Cancel()
-	check("ring double cancel")
+	check("instant cancel")
+	instant.Cancel()
+	check("instant double cancel")
 	wheelEv.Cancel()
 	model--
 	check("wheel cancel")

@@ -194,87 +194,6 @@ func TestCoopDisableAffinityAblation(t *testing.T) {
 	}
 }
 
-func TestLIFOPolicyOrder(t *testing.T) {
-	cfg := hw.SmallNode()
-	cfg.Topo.CoresPerSocket = 1
-	cfg.Costs = hw.Costs{CacheRefillBytesPerNs: 1, L2Bytes: 1}
-	eng := sim.NewEngine(1)
-	k := kernel.New(eng, cfg, kernel.DefaultSchedParams())
-	boot := k.NewProcess("boot")
-	in, err := nosv.OpenSegment(k, "lifo", boot, func() nosv.Policy { return NewLIFO() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	// Occupy the core with a long task while three more queue up; LIFO
-	// must then run them newest-first.
-	attachRun(k, in, boot, "hog", func(kt *kernel.Thread, task *nosv.Task) {
-		kt.Compute(60 * sim.Millisecond)
-	})
-	for i := 0; i < 3; i++ {
-		i := i
-		k.SpawnThread(boot, "w", func(kt *kernel.Thread) {
-			kt.Nanosleep(sim.Duration(i+1) * sim.Millisecond) // deterministic queue order
-			task := in.Attach(kt, boot.PID, "w")
-			order = append(order, i)
-			in.Complete(task)
-		})
-	}
-	if _, err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{2, 1, 0}
-	if len(order) != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v (LIFO)", order, want)
-		}
-	}
-}
-
-func TestPriorityPolicyOrder(t *testing.T) {
-	cfg := hw.SmallNode()
-	cfg.Topo.CoresPerSocket = 1
-	cfg.Costs = hw.Costs{CacheRefillBytesPerNs: 1, L2Bytes: 1}
-	eng := sim.NewEngine(1)
-	k := kernel.New(eng, cfg, kernel.DefaultSchedParams())
-	boot := k.NewProcess("boot")
-	lo := k.NewProcess("lo")
-	hi := k.NewProcess("hi")
-	prio := map[int]int{int(lo.PID): 1, int(hi.PID): 9}
-	in, err := nosv.OpenSegment(k, "prio", boot, func() nosv.Policy { return NewPriority(prio) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*kernel.Process{lo, hi} {
-		if _, err := nosv.OpenSegment(k, "prio", p, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var order []string
-	attachRun(k, in, boot, "hog", func(kt *kernel.Thread, task *nosv.Task) {
-		kt.Compute(60 * sim.Millisecond)
-	})
-	mk := func(p *kernel.Process, name string, delay sim.Duration) {
-		k.SpawnThread(p, name, func(kt *kernel.Thread) {
-			kt.Nanosleep(delay)
-			task := in.Attach(kt, p.PID, name)
-			order = append(order, name)
-			in.Complete(task)
-		})
-	}
-	mk(lo, "lo", 1*sim.Millisecond) // queues first
-	mk(hi, "hi", 2*sim.Millisecond) // queues second but outranks lo
-	if _, err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "hi" || order[1] != "lo" {
-		t.Fatalf("order = %v, want [hi lo]", order)
-	}
-}
-
 // TestCoopYieldRepicksIsExact: before every yield, the instance's
 // side-effect-free "would this yield park" answer must match what the
 // yield then does — a self-yield exactly when SCHED_COOP reported that

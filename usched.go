@@ -12,7 +12,7 @@
 //     blocking call through the nOS-V tasking library;
 //   - USF, the user-space scheduling framework: a pluggable policy
 //     interface over nOS-V, with the paper's SCHED_COOP cooperative
-//     policy plus example alternatives;
+//     policy (examples/custom-policy writes another as user code);
 //   - the runtime substrates the paper composes (OpenMP gomp/libomp,
 //     OmpSs-2, oneTBB, pthreadpool, OpenBLAS/BLIS, MPICH-like MPI);
 //   - the four evaluation workloads (nested matmul, Cholesky runtime
