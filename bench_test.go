@@ -30,23 +30,23 @@ import (
 
 // --- Figure 3: nested-runtime matmul heatmaps -------------------------
 
+// matmulCell is a bench matmul configuration; the benches run it on
+// DualSocket16 at seed 3.
 func matmulCell(mode stack.Mode, ts, ompThreads int) matmul.Config {
 	return matmul.Config{
-		Machine:    hw.DualSocket16(),
 		Mode:       mode,
 		N:          2048,
 		TaskSize:   ts,
 		OMPThreads: ompThreads,
 		Reps:       1,
 		Horizon:    10 * sim.Second,
-		Seed:       3,
 	}
 }
 
 func benchMatmul(b *testing.B, mode stack.Mode, ts, threads int) {
 	var last matmul.Result
 	for i := 0; i < b.N; i++ {
-		last = matmul.Run(matmulCell(mode, ts, threads))
+		last = matmul.Run(stack.New(hw.DualSocket16(), 3), matmulCell(mode, ts, threads))
 	}
 	if !last.TimedOut {
 		b.ReportMetric(last.GFLOPS, "sim-GFLOPS")
@@ -70,7 +70,6 @@ func BenchmarkFigure3MatmulUnderusedCoop(b *testing.B) { benchMatmul(b, stack.Mo
 
 func choleskyCfg(mode stack.Mode, outer cholesky.OuterKind, inner cholesky.InnerKind, impl blas.Impl) cholesky.Config {
 	return cholesky.Config{
-		Machine:      hw.DualSocket16(),
 		Mode:         mode,
 		N:            4096,
 		TileSize:     512,
@@ -80,14 +79,13 @@ func choleskyCfg(mode stack.Mode, outer cholesky.OuterKind, inner cholesky.Inner
 		OuterThreads: 8,
 		InnerThreads: 8,
 		Horizon:      60 * sim.Second,
-		Seed:         5,
 	}
 }
 
 func benchCholesky(b *testing.B, mode stack.Mode, outer cholesky.OuterKind, inner cholesky.InnerKind, impl blas.Impl) {
 	var last cholesky.Result
 	for i := 0; i < b.N; i++ {
-		last = cholesky.Run(choleskyCfg(mode, outer, inner, impl))
+		last = cholesky.Run(stack.New(hw.DualSocket16(), 5), choleskyCfg(mode, outer, inner, impl))
 	}
 	if !last.TimedOut {
 		b.ReportMetric(last.GFLOPS, "sim-GFLOPS")
@@ -129,7 +127,6 @@ func BenchmarkTable2CholeskyGnuPthBlisCoop(b *testing.B) {
 
 func microCfg(scheme inference.Scheme, rate float64) inference.Config {
 	return inference.Config{
-		Machine:  hw.DualSocket16(),
 		Scheme:   scheme,
 		Rate:     rate,
 		Requests: 8,
@@ -141,14 +138,13 @@ func microCfg(scheme inference.Scheme, rate float64) inference.Config {
 			{Name: "roberta", Work: 676 * sim.Millisecond, SerialFrac: 0.06, Threads: 4, OptShare: 0.14},
 		},
 		Horizon: 4000 * sim.Second,
-		Seed:    9,
 	}
 }
 
 func benchMicro(b *testing.B, scheme inference.Scheme, rate float64) {
 	var last inference.Result
 	for i := 0; i < b.N; i++ {
-		last = inference.Run(microCfg(scheme, rate))
+		last = inference.Run(stack.New(hw.DualSocket16(), 9), microCfg(scheme, rate))
 	}
 	if !last.TimedOut {
 		b.ReportMetric(last.Stats.Mean.Seconds(), "sim-mean-latency-s")
@@ -169,7 +165,6 @@ func BenchmarkFigure4MicroservicesCoopHighRate(b *testing.B) {
 
 func mdCfg(s md.Scenario) md.Config {
 	cfg := md.Config{
-		Machine:          hw.DualSocket16(),
 		Scenario:         s,
 		Ensembles:        2,
 		RanksPerEnsemble: 8,
@@ -181,7 +176,6 @@ func mdCfg(s md.Scenario) md.Config {
 		BWPerThread:      2.0,
 		InitWork:         500 * sim.Millisecond,
 		Horizon:          1200 * sim.Second,
-		Seed:             11,
 	}
 	if s.Colocated() {
 		cfg.RanksPerEnsemble = 4
@@ -192,7 +186,7 @@ func mdCfg(s md.Scenario) md.Config {
 func benchMD(b *testing.B, s md.Scenario) {
 	var last md.Result
 	for i := 0; i < b.N; i++ {
-		last = md.Run(mdCfg(s))
+		last = md.Run(stack.New(hw.DualSocket16(), 11), mdCfg(s))
 	}
 	if !last.TimedOut {
 		b.ReportMetric(last.Aggregate, "sim-Katom-step/s")
@@ -317,12 +311,12 @@ func BenchmarkAblationQuantum80ms(b *testing.B) { benchQuantum(b, 80*sim.Millise
 func benchAffinity(b *testing.B, disable bool) {
 	var last matmul.Result
 	for i := 0; i < b.N; i++ {
-		cfg := matmulCell(stack.ModeCoop, 512, 8)
-		cfg.Coop = &usf.CoopConfig{
+		sys := stack.New(hw.DualSocket16(), 3)
+		sys.CoopConfig = usf.CoopConfig{
 			ProcessQuantum:  20 * sim.Millisecond,
 			DisableAffinity: disable,
 		}
-		last = matmul.Run(cfg)
+		last = matmul.Run(sys, matmulCell(stack.ModeCoop, 512, 8))
 	}
 	if !last.TimedOut {
 		b.ReportMetric(last.GFLOPS, "sim-GFLOPS")
@@ -416,10 +410,9 @@ func BenchmarkAblationTASIOOn(b *testing.B)  { benchTASIO(b, true) }
 // kernel scheduling class (Baseline stack, no USF).
 func benchSchedCmpMatmul(b *testing.B, class string) {
 	cfg := matmulCell(stack.ModeBaseline, 512, 8)
-	cfg.KernelClass = class
 	var last matmul.Result
 	for i := 0; i < b.N; i++ {
-		last = matmul.Run(cfg)
+		last = matmul.Run(stack.NewWithClass(hw.DualSocket16(), 3, class), cfg)
 	}
 	if !last.TimedOut {
 		b.ReportMetric(last.GFLOPS, "sim-GFLOPS")
@@ -458,19 +451,16 @@ func benchTailLoad(b *testing.B, shapeName, schemeName string, rate float64) {
 	}
 	var last inference.Result
 	for i := 0; i < b.N; i++ {
-		last = inference.Run(inference.Config{
-			Machine:     cfg.Machine,
-			Scheme:      scheme.Scheme,
-			KernelClass: scheme.KernelClass,
-			Rate:        rate,
-			Requests:    cfg.Requests,
-			Batches:     cfg.Batches,
-			Scale:       cfg.Scale,
-			Models:      cfg.Models,
-			Horizon:     cfg.Horizon,
-			Seed:        cfg.Seed,
-			Arrivals:    shape.New(rate, cfg.Scale, cfg.Requests),
-			SLO:         cfg.SLO,
+		last = inference.Run(stack.NewWithClass(cfg.Machine, cfg.Seed, scheme.KernelClass), inference.Config{
+			Scheme:   scheme.Scheme,
+			Rate:     rate,
+			Requests: cfg.Requests,
+			Batches:  cfg.Batches,
+			Scale:    cfg.Scale,
+			Models:   cfg.Models,
+			Horizon:  cfg.Horizon,
+			Arrivals: shape.New(rate, cfg.Scale, cfg.Requests),
+			SLO:      cfg.SLO,
 		})
 	}
 	if !last.TimedOut {

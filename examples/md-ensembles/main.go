@@ -19,7 +19,6 @@ func main() {
 		md.SchedCoopNode, md.SchedCoopSocket,
 	} {
 		cfg := usched.MDConfig{
-			Machine:          usched.DualSocket16(),
 			Scenario:         s,
 			Ensembles:        2,
 			RanksPerEnsemble: 8,
@@ -31,12 +30,11 @@ func main() {
 			BWPerThread:      2.0,
 			InitWork:         500 * sim.Millisecond,
 			Horizon:          1200 * sim.Second,
-			Seed:             11,
 		}
 		if s.Colocated() {
 			cfg.RanksPerEnsemble = 4
 		}
-		res := usched.RunMD(cfg)
+		res := usched.RunMD(usched.NewSystem(usched.DualSocket16(), 11), cfg)
 		if res.TimedOut {
 			fmt.Printf("%-20s timed out\n", s)
 			continue

@@ -22,8 +22,8 @@ func main() {
 		inference.BlEq, inference.BlOpt, inference.BlNone,
 		inference.BlNoneSeq, inference.Coop,
 	} {
-		res := usched.RunMicroservices(usched.MicroservicesConfig{
-			Machine:  usched.DualSocket16(),
+		sys := usched.NewSystem(usched.DualSocket16(), 9)
+		res := usched.RunMicroservices(sys, usched.MicroservicesConfig{
 			Scheme:   scheme,
 			Rate:     1.0,
 			Requests: 10,
@@ -31,7 +31,6 @@ func main() {
 			Scale:    0.2,
 			Models:   models,
 			Horizon:  4000 * sim.Second,
-			Seed:     9,
 		})
 		if res.TimedOut {
 			fmt.Printf("%-12s timed out\n", scheme)

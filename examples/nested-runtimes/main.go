@@ -15,15 +15,14 @@ func main() {
 	fmt.Println("Nested OmpSs-2 + BLIS/OpenMP matmul, 16 cores, 16 blocks x 8 OMP threads")
 	fmt.Println("(the paper's Fig. 2 stacks on one oversubscribed configuration)")
 	for _, mode := range []usched.Mode{usched.Original, usched.Baseline, usched.Manual, usched.SchedCoop} {
-		res := usched.RunMatmul(usched.MatmulConfig{
-			Machine:    usched.DualSocket16(),
+		sys := usched.NewSystem(usched.DualSocket16(), 7)
+		res := usched.RunMatmul(sys, usched.MatmulConfig{
 			Mode:       mode,
 			N:          2048,
 			TaskSize:   512,
 			OMPThreads: 8,
 			Reps:       1,
 			Horizon:    10 * sim.Second,
-			Seed:       7,
 		})
 		if res.TimedOut {
 			fmt.Printf("%-11s timed out (the paper's white squares)\n", mode)

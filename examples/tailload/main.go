@@ -46,8 +46,8 @@ func run(name string, src usched.LoadSource, maxInFlight int) {
 		{Name: "gpt2", Work: 1010 * sim.Millisecond, SerialFrac: 0.06, Threads: 4, OptShare: 0.21},
 		{Name: "roberta", Work: 676 * sim.Millisecond, SerialFrac: 0.06, Threads: 4, OptShare: 0.14},
 	}
-	res := usched.RunMicroservices(usched.MicroservicesConfig{
-		Machine:     usched.DualSocket16(),
+	sys := usched.NewSystem(usched.DualSocket16(), 23)
+	res := usched.RunMicroservices(sys, usched.MicroservicesConfig{
 		Scheme:      0, // bl-none: stock scheduler, no partitioning
 		Rate:        rate,
 		Requests:    12,
@@ -55,7 +55,6 @@ func run(name string, src usched.LoadSource, maxInFlight int) {
 		Scale:       scale,
 		Models:      models,
 		Horizon:     4000 * sim.Second,
-		Seed:        23,
 		Arrivals:    src,
 		SLO:         slo,
 		MaxInFlight: maxInFlight,

@@ -120,18 +120,18 @@ func (b *Lib) Config() Config { return b.cfg }
 
 // Dgemm multiplies an (m x k) by a (k x n) matrix: 2mnk flops.
 func (b *Lib) Dgemm(m, n, k int) {
-	b.kernel(2*float64(m)*float64(n)*float64(k), minDim(m, n, k))
+	b.kernel(2*float64(m)*float64(n)*float64(k), min(m, n, k))
 }
 
 // Dsyrk computes C = A*Aᵀ updates: n²k flops.
 func (b *Lib) Dsyrk(n, k int) {
-	b.kernel(float64(n)*float64(n)*float64(k), minDim(n, k, 1<<30))
+	b.kernel(float64(n)*float64(n)*float64(k), min(n, k))
 }
 
 // Dtrsm solves a triangular system with an (m x m) factor against n
 // right-hand sides: m²n flops.
 func (b *Lib) Dtrsm(m, n int) {
-	b.kernel(float64(m)*float64(m)*float64(n), minDim(m, n, 1<<30))
+	b.kernel(float64(m)*float64(m)*float64(n), min(m, n))
 }
 
 // Dpotrf factorises an (n x n) SPD matrix: n³/3 flops.
@@ -149,17 +149,6 @@ func (b *Lib) KernelWork(w sim.Duration) {
 	threads := b.cfg.Threads
 	per := sim.Duration(float64(w) / float64(threads) / float64(b.cfg.Phases))
 	b.runTeam(threads, per)
-}
-
-func minDim(a, b, c int) int {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
 }
 
 // kernel executes a parallel BLAS kernel of the given flop count.

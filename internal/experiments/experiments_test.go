@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/stack"
+	"repro/internal/trace"
 	"repro/internal/workloads/inference"
 	"repro/internal/workloads/md"
 )
@@ -251,8 +254,7 @@ func TestTailLoadShapesCoverAllSources(t *testing.T) {
 	// under SCHED_COOP at a moderate load.
 	cfg := QuickTailLoad()
 	for _, shape := range TailShapes() {
-		res := inference.Run(inference.Config{
-			Machine:  cfg.Machine,
+		res := inference.Run(stack.New(cfg.Machine, cfg.Seed), inference.Config{
 			Scheme:   inference.Coop,
 			Rate:     2.0,
 			Requests: 6,
@@ -260,7 +262,6 @@ func TestTailLoadShapesCoverAllSources(t *testing.T) {
 			Scale:    cfg.Scale,
 			Models:   cfg.Models,
 			Horizon:  cfg.Horizon,
-			Seed:     cfg.Seed,
 			Arrivals: shape.New(2.0, cfg.Scale, 6),
 			SLO:      cfg.SLO,
 		})
@@ -407,9 +408,9 @@ func TestFigure4EventsCountSkippedPolls(t *testing.T) {
 	}
 }
 
-// TestSchedCmpCellsReportEvents checks both schedcmp legs: the matmul
-// cells through matmul's Events out-parameter, the services cells
-// through inference's Fired out-parameter.
+// TestSchedCmpCellsReportEvents checks that both schedcmp legs, the
+// matmul cells and the services cells, report the events their
+// System's engine fired.
 func TestSchedCmpCellsReportEvents(t *testing.T) {
 	cfg := QuickSchedCmp()
 	cfg.Classes, cfg.Oversub = cfg.Classes[:1], cfg.Oversub[:1]
@@ -420,6 +421,68 @@ func TestSchedCmpCellsReportEvents(t *testing.T) {
 	for _, r := range harness.Run(jobs, 1) {
 		if r.Metric.Events <= 0 {
 			t.Errorf("cell %s reports %d events, want > 0", r.Metric.Cell, r.Metric.Events)
+		}
+	}
+}
+
+// TestTracingIsPassive checks that a -trace run records one of its
+// scenario's cells and that the tracer moves nothing: each trace
+// function's cell, run with a tracer and without one, returns the
+// result of the job it names.
+func TestTracingIsPassive(t *testing.T) {
+	fig3, fig4, sc, tl := QuickFigure3(), QuickFigure4(), QuickSchedCmp(), QuickTailLoad()
+	last := func(xs []int) int { return xs[len(xs)-1] }
+	cases := []struct {
+		scenario string
+		jobs     []harness.Job
+		job      string
+		run      func(*trace.Buffer) any
+		result   func(value any) any
+	}{
+		{
+			"matmul", Figure3Jobs(fig3),
+			fmt.Sprintf("baseline/tasks%d/omp%d", last(fig3.TaskSizes), last(fig3.OMPThreads)),
+			func(b *trace.Buffer) any { return traceMatmul(fig3, b) },
+			func(v any) any { return v.(Figure3Cell).Result },
+		},
+		{
+			"microservices", Figure4Jobs(fig4),
+			fmt.Sprintf("%s/rate%.2f", inference.BlNone, fig4.TimelineRate),
+			func(b *trace.Buffer) any { return traceMicroservices(fig4, b) },
+			func(v any) any { return v.(Figure4Point).Result },
+		},
+		{
+			"schedcmp", SchedCmpJobs(sc),
+			fmt.Sprintf("matmul/%s/oversub%d", sc.Classes[len(sc.Classes)-1], last(sc.Oversub)),
+			func(b *trace.Buffer) any { return traceSchedCmp(sc, b) },
+			func(v any) any { return v.(SchedCmpMatmulCell).Result },
+		},
+		{
+			"tailload", TailLoadJobs(tl),
+			fmt.Sprintf("bursty/%s/load%.2f", tl.Schemes[len(tl.Schemes)-1].Name, tl.Loads[len(tl.Loads)-1]),
+			func(b *trace.Buffer) any { return traceTailLoad(tl, b) },
+			func(v any) any { return v.(TailLoadCell).Result },
+		},
+	}
+	for _, c := range cases {
+		var want any
+		for _, j := range c.jobs {
+			if j.Name == c.job {
+				want = c.result(j.Run().Value)
+			}
+		}
+		if want == nil {
+			t.Fatalf("%s: no job named %s", c.scenario, c.job)
+		}
+		buf := trace.NewBuffer(traceCap)
+		if got := c.run(buf); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: traced cell differs from job %s:\n%+v\nwant %+v", c.scenario, c.job, got, want)
+		}
+		if buf.Len() == 0 {
+			t.Errorf("%s: trace recorded no events", c.scenario)
+		}
+		if got := c.run(nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: untraced cell differs from job %s:\n%+v\nwant %+v", c.scenario, c.job, got, want)
 		}
 	}
 }

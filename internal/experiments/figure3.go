@@ -87,23 +87,13 @@ func Figure3Jobs(cfg Figure3Config) []harness.Job {
 				jobs = append(jobs, harness.Job{
 					Name: fmt.Sprintf("%s/tasks%d/omp%d", mode, ts, th),
 					Run: func() harness.Output {
-						var events int64
-						res := matmul.Run(matmul.Config{
-							Machine:    cfg.Machine,
-							Mode:       mode,
-							N:          cfg.N,
-							TaskSize:   ts,
-							OMPThreads: th,
-							Reps:       cfg.Reps,
-							Horizon:    cfg.Horizon,
-							Seed:       cfg.Seed,
-							Events:     &events,
-						})
+						sys := stack.New(cfg.Machine, cfg.Seed)
+						res := matmul.Run(sys, figure3Cell(cfg, mode, ts, th))
 						return harness.Output{
 							Value:    Figure3Cell{TaskSize: ts, OMPThreads: th, Result: res},
 							SimTime:  res.Elapsed,
 							TimedOut: res.TimedOut,
-							Events:   events,
+							Events:   int64(sys.Eng.Processed()),
 						}
 					},
 				})
@@ -111,6 +101,11 @@ func Figure3Jobs(cfg Figure3Config) []harness.Job {
 		}
 	}
 	return jobs
+}
+
+// figure3Cell is the matmul configuration of one heatmap cell.
+func figure3Cell(cfg Figure3Config, mode stack.Mode, ts, th int) matmul.Config {
+	return matmul.Config{Mode: mode, N: cfg.N, TaskSize: ts, OMPThreads: th, Reps: cfg.Reps, Horizon: cfg.Horizon}
 }
 
 // AssembleFigure3 rebuilds the heatmap grids from cell results ordered

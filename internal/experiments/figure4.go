@@ -7,6 +7,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workloads/inference"
 )
 
@@ -107,30 +108,33 @@ func Figure4Jobs(cfg Figure4Config) []harness.Job {
 			jobs = append(jobs, harness.Job{
 				Name: fmt.Sprintf("%s/rate%.2f", scheme, rate),
 				Run: func() harness.Output {
-					var fired int64
-					res := inference.Run(inference.Config{
-						Machine:  cfg.Machine,
-						Scheme:   scheme,
-						Rate:     rate,
-						Requests: cfg.Requests,
-						Batches:  cfg.Batches,
-						Scale:    cfg.Scale,
-						Models:   cfg.Models,
-						Horizon:  cfg.Horizon,
-						Seed:     cfg.Seed,
-						Fired:    &fired,
-					})
+					sys := stack.New(cfg.Machine, cfg.Seed)
+					res := inference.Run(sys, figure4Cell(cfg, scheme, rate))
 					return harness.Output{
 						Value:    Figure4Point{Scheme: scheme, Rate: rate, Result: res},
 						SimTime:  res.Elapsed,
 						TimedOut: res.TimedOut,
-						Events:   fired,
+						Events:   int64(sys.Eng.Processed()),
 					}
 				},
 			})
 		}
 	}
 	return jobs
+}
+
+// figure4Cell is the microservices configuration of one (scheme, rate)
+// point.
+func figure4Cell(cfg Figure4Config, scheme inference.Scheme, rate float64) inference.Config {
+	return inference.Config{
+		Scheme:   scheme,
+		Rate:     rate,
+		Requests: cfg.Requests,
+		Batches:  cfg.Batches,
+		Scale:    cfg.Scale,
+		Models:   cfg.Models,
+		Horizon:  cfg.Horizon,
+	}
 }
 
 // AssembleFigure4 rebuilds the point list and TimelineRate traces from

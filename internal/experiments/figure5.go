@@ -7,11 +7,15 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workloads/md"
 )
 
 // Figure5Config parameterises the §5.6 LAMMPS+DeePMD study.
 type Figure5Config struct {
+	// Machine and Seed build each scenario's System.
+	Machine   hw.Config
+	Seed      uint64
 	Scenarios []md.Scenario
 	// Base is the template configuration; the scenario field is
 	// overridden per run (and ranks halved for colocation).
@@ -34,15 +38,16 @@ func DefaultFigure5() Figure5Config {
 	base := md.DefaultConfig(md.Exclusive)
 	base.Steps = 20
 	base.InitWork = 8 * sim.Second
-	return Figure5Config{Scenarios: AllScenarios(), Base: base}
+	return Figure5Config{Machine: hw.MareNostrum5(), Seed: 11, Scenarios: AllScenarios(), Base: base}
 }
 
 // QuickFigure5 is a fast, small variant.
 func QuickFigure5() Figure5Config {
 	return Figure5Config{
+		Machine:   hw.DualSocket16(),
+		Seed:      11,
 		Scenarios: AllScenarios(),
 		Base: md.Config{
-			Machine:          hw.DualSocket16(),
 			Ensembles:        2,
 			RanksPerEnsemble: 8,
 			OMPPerRank:       2,
@@ -53,7 +58,6 @@ func QuickFigure5() Figure5Config {
 			BWPerThread:      2.0,
 			InitWork:         500 * sim.Millisecond,
 			Horizon:          1200 * sim.Second,
-			Seed:             11,
 		},
 	}
 }
@@ -84,15 +88,13 @@ func Figure5Jobs(cfg Figure5Config) []harness.Job {
 		jobs = append(jobs, harness.Job{
 			Name: s.String(),
 			Run: func() harness.Output {
-				var events int64
-				c := c
-				c.Events = &events
-				res := md.Run(c)
+				sys := stack.New(cfg.Machine, cfg.Seed)
+				res := md.Run(sys, c)
 				return harness.Output{
 					Value:    Figure5Entry{Scenario: s, Result: res},
 					SimTime:  res.Elapsed,
 					TimedOut: res.TimedOut,
-					Events:   events,
+					Events:   int64(sys.Eng.Processed()),
 				}
 			},
 		})

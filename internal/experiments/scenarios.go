@@ -47,7 +47,7 @@ func figure5Config(opt harness.Opts) Figure5Config {
 	if opt.Quick {
 		cfg = QuickFigure5()
 	}
-	cfg.Base.Seed = opt.ApplySeed(cfg.Base.Seed)
+	cfg.Seed = opt.ApplySeed(cfg.Seed)
 	return cfg
 }
 
@@ -64,63 +64,41 @@ func schedCmpConfig(opt harness.Opts) SchedCmpConfig {
 // last million scheduling events.
 const traceCap = 1 << 20
 
-// traceMatmul runs one representative matmul cell (Baseline mode, the
-// config's smallest task size and widest inner team — the most
-// oversubscribed corner) with tracing enabled.
-func traceMatmul(cfg Figure3Config) *trace.Buffer {
+// record runs a trace function's cell into a fresh flight-recorder
+// buffer. Each trace function runs one representative cell exactly as
+// its job does, with tracer (nil for none) attached to the cell's
+// System, and returns the cell's result.
+func record[C, R any](run func(C, *trace.Buffer) R, cfg C) *trace.Buffer {
 	buf := trace.NewBuffer(traceCap)
-	matmul.Run(matmul.Config{
-		Machine:    cfg.Machine,
-		Mode:       stack.ModeBaseline,
-		N:          cfg.N,
-		TaskSize:   cfg.TaskSizes[len(cfg.TaskSizes)-1],
-		OMPThreads: cfg.OMPThreads[len(cfg.OMPThreads)-1],
-		Reps:       cfg.Reps,
-		Horizon:    cfg.Horizon,
-		Seed:       cfg.Seed,
-		Tracer:     buf,
-	})
+	run(cfg, buf)
 	return buf
 }
 
-// traceMicroservices runs one representative microservices cell (the
-// bl-none scheme at the timeline rate) with tracing enabled.
-func traceMicroservices(cfg Figure4Config) *trace.Buffer {
-	buf := trace.NewBuffer(traceCap)
-	inference.Run(inference.Config{
-		Machine:  cfg.Machine,
-		Scheme:   inference.BlNone,
-		Rate:     cfg.TimelineRate,
-		Requests: cfg.Requests,
-		Batches:  cfg.Batches,
-		Scale:    cfg.Scale,
-		Models:   cfg.Models,
-		Horizon:  cfg.Horizon,
-		Seed:     cfg.Seed,
-		Tracer:   buf,
-	})
-	return buf
+// traceMatmul runs the matmul cell in Baseline mode at the config's
+// smallest task size and widest inner team: the most oversubscribed
+// corner.
+func traceMatmul(cfg Figure3Config, tracer *trace.Buffer) matmul.Result {
+	sys := stack.New(cfg.Machine, cfg.Seed)
+	sys.K.Tracer = tracer
+	return matmul.Run(sys, figure3Cell(cfg, stack.ModeBaseline,
+		cfg.TaskSizes[len(cfg.TaskSizes)-1], cfg.OMPThreads[len(cfg.OMPThreads)-1]))
 }
 
-// traceSchedCmp traces the matmul leg's most oversubscribed cell under
+// traceMicroservices runs the microservices cell of the bl-none scheme
+// at the timeline rate.
+func traceMicroservices(cfg Figure4Config, tracer *trace.Buffer) inference.Result {
+	sys := stack.New(cfg.Machine, cfg.Seed)
+	sys.K.Tracer = tracer
+	return inference.Run(sys, figure4Cell(cfg, inference.BlNone, cfg.TimelineRate))
+}
+
+// traceSchedCmp runs the matmul leg's most oversubscribed cell under
 // the last configured (non-fair, if any) kernel class, so the class tag
 // in the trace is visibly exercised.
-func traceSchedCmp(cfg SchedCmpConfig) *trace.Buffer {
-	buf := trace.NewBuffer(traceCap)
-	class := cfg.Classes[len(cfg.Classes)-1]
-	matmul.Run(matmul.Config{
-		Machine:     cfg.Machine,
-		Mode:        stack.ModeBaseline,
-		N:           cfg.N,
-		TaskSize:    cfg.TaskSize,
-		OMPThreads:  cfg.Oversub[len(cfg.Oversub)-1],
-		Reps:        cfg.Reps,
-		Horizon:     cfg.Horizon,
-		Seed:        cfg.Seed,
-		KernelClass: class,
-		Tracer:      buf,
-	})
-	return buf
+func traceSchedCmp(cfg SchedCmpConfig, tracer *trace.Buffer) matmul.Result {
+	sys := stack.NewWithClass(cfg.Machine, cfg.Seed, cfg.Classes[len(cfg.Classes)-1])
+	sys.K.Tracer = tracer
+	return matmul.Run(sys, schedCmpMatmul(cfg, cfg.Oversub[len(cfg.Oversub)-1]))
 }
 
 func tailLoadConfig(opt harness.Opts) TailLoadConfig {
@@ -145,11 +123,10 @@ func metricsInterval(opt harness.Opts) sim.Duration {
 	return 5 * sim.Second
 }
 
-// traceTailLoad traces the most loaded bursty cell under the last
+// traceTailLoad runs the most loaded bursty cell under the last
 // configured scheme, so the trace shows tail-latency formation under
 // bursty arrivals.
-func traceTailLoad(cfg TailLoadConfig) *trace.Buffer {
-	buf := trace.NewBuffer(traceCap)
+func traceTailLoad(cfg TailLoadConfig, tracer *trace.Buffer) inference.Result {
 	shape := cfg.Shapes[0]
 	for _, s := range cfg.Shapes {
 		if s.Name == "bursty" {
@@ -157,24 +134,9 @@ func traceTailLoad(cfg TailLoadConfig) *trace.Buffer {
 		}
 	}
 	scheme := cfg.Schemes[len(cfg.Schemes)-1]
-	rate := cfg.Loads[len(cfg.Loads)-1]
-	inference.Run(inference.Config{
-		Machine:     cfg.Machine,
-		Scheme:      scheme.Scheme,
-		KernelClass: scheme.KernelClass,
-		Rate:        rate,
-		Requests:    cfg.Requests,
-		Batches:     cfg.Batches,
-		Scale:       cfg.Scale,
-		Models:      cfg.Models,
-		Horizon:     cfg.Horizon,
-		Seed:        cfg.Seed,
-		Arrivals:    shape.New(rate, cfg.Scale, cfg.Requests),
-		SLO:         cfg.SLO,
-		MaxInFlight: cfg.MaxInFlight,
-		Tracer:      buf,
-	})
-	return buf
+	sys := stack.NewWithClass(cfg.Machine, cfg.Seed, scheme.KernelClass)
+	sys.K.Tracer = tracer
+	return inference.Run(sys, tailLoadCell(cfg, shape, scheme, cfg.Loads[len(cfg.Loads)-1]))
 }
 
 func clusterConfig(opt harness.Opts) ClusterConfig {
@@ -193,11 +155,11 @@ func clusterConfig(opt harness.Opts) ClusterConfig {
 	return cfg
 }
 
-// traceCluster traces node 0 of the most loaded bursty cell under
-// least-outstanding routing and SCHED_COOP, so the trace shows one
-// fleet member absorbing its routed share of a burst.
-func traceCluster(cfg ClusterConfig) *trace.Buffer {
-	buf := trace.NewBuffer(traceCap)
+// traceCluster runs the most loaded bursty cell under
+// least-outstanding routing and SCHED_COOP with tracer on node 0, so
+// the trace shows one fleet member absorbing its routed share of a
+// burst.
+func traceCluster(cfg ClusterConfig, tracer *trace.Buffer) ClusterCell {
 	shape := cfg.Shapes[0]
 	for _, s := range cfg.Shapes {
 		if s.Name == "bursty" {
@@ -210,8 +172,7 @@ func traceCluster(cfg ClusterConfig) *trace.Buffer {
 			router = r
 		}
 	}
-	runClusterCell(cfg, shape, cfg.Schemes[0], router, cfg.Loads[len(cfg.Loads)-1], buf)
-	return buf
+	return runClusterCell(cfg, shape, cfg.Schemes[0], router, cfg.Loads[len(cfg.Loads)-1], tracer)
 }
 
 func chaosConfig(opt harness.Opts) ChaosConfig {
@@ -243,7 +204,7 @@ func init() {
 			return AssembleFigure3(figure3Config(opt), results).Render()
 		},
 		Trace: func(opt harness.Opts) *trace.Buffer {
-			return traceMatmul(figure3Config(opt))
+			return record(traceMatmul, figure3Config(opt))
 		},
 	})
 	harness.Register(&harness.Scenario{
@@ -266,7 +227,7 @@ func init() {
 			return AssembleFigure4(figure4Config(opt), results).Render()
 		},
 		Trace: func(opt harness.Opts) *trace.Buffer {
-			return traceMicroservices(figure4Config(opt))
+			return record(traceMicroservices, figure4Config(opt))
 		},
 	})
 	harness.Register(&harness.Scenario{
@@ -290,7 +251,7 @@ func init() {
 			return AssembleSchedCmp(schedCmpConfig(opt), results).Render()
 		},
 		Trace: func(opt harness.Opts) *trace.Buffer {
-			return traceSchedCmp(schedCmpConfig(opt))
+			return record(traceSchedCmp, schedCmpConfig(opt))
 		},
 	})
 	harness.Register(&harness.Scenario{
@@ -303,7 +264,7 @@ func init() {
 			return AssembleTailLoad(tailLoadConfig(opt), results).Render()
 		},
 		Trace: func(opt harness.Opts) *trace.Buffer {
-			return traceTailLoad(tailLoadConfig(opt))
+			return record(traceTailLoad, tailLoadConfig(opt))
 		},
 	})
 	harness.Register(&harness.Scenario{
@@ -316,7 +277,7 @@ func init() {
 			return AssembleCluster(clusterConfig(opt), results).Render()
 		},
 		Trace: func(opt harness.Opts) *trace.Buffer {
-			return traceCluster(clusterConfig(opt))
+			return record(traceCluster, clusterConfig(opt))
 		},
 	})
 	harness.Register(&harness.Scenario{

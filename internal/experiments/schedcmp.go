@@ -115,24 +115,13 @@ func SchedCmpJobs(cfg SchedCmpConfig) []harness.Job {
 			jobs = append(jobs, harness.Job{
 				Name: fmt.Sprintf("matmul/%s/oversub%d", class, f),
 				Run: func() harness.Output {
-					var events int64
-					res := matmul.Run(matmul.Config{
-						Machine:     cfg.Machine,
-						Mode:        stack.ModeBaseline,
-						N:           cfg.N,
-						TaskSize:    cfg.TaskSize,
-						OMPThreads:  f,
-						Reps:        cfg.Reps,
-						Horizon:     cfg.Horizon,
-						Seed:        cfg.Seed,
-						KernelClass: class,
-						Events:      &events,
-					})
+					sys := stack.NewWithClass(cfg.Machine, cfg.Seed, class)
+					res := matmul.Run(sys, schedCmpMatmul(cfg, f))
 					return harness.Output{
 						Value:    SchedCmpMatmulCell{Class: class, Factor: f, Result: res},
 						SimTime:  res.Elapsed,
 						TimedOut: res.TimedOut,
-						Events:   events,
+						Events:   int64(sys.Eng.Processed()),
 					}
 				},
 			})
@@ -144,31 +133,40 @@ func SchedCmpJobs(cfg SchedCmpConfig) []harness.Job {
 			jobs = append(jobs, harness.Job{
 				Name: fmt.Sprintf("services/%s/oversub%d", class, f),
 				Run: func() harness.Output {
-					var fired int64
-					res := inference.Run(inference.Config{
-						Machine:     cfg.Machine,
-						Scheme:      inference.BlNone,
-						Rate:        cfg.Rate * float64(f),
-						Requests:    cfg.Requests,
-						Batches:     cfg.Batches,
-						Scale:       cfg.Scale,
-						Models:      cfg.Models,
-						Horizon:     cfg.Horizon,
-						Seed:        cfg.Seed,
-						KernelClass: class,
-						Fired:       &fired,
+					sys := stack.NewWithClass(cfg.Machine, cfg.Seed, class)
+					res := inference.Run(sys, inference.Config{
+						Scheme:   inference.BlNone,
+						Rate:     cfg.Rate * float64(f),
+						Requests: cfg.Requests,
+						Batches:  cfg.Batches,
+						Scale:    cfg.Scale,
+						Models:   cfg.Models,
+						Horizon:  cfg.Horizon,
 					})
 					return harness.Output{
 						Value:    SchedCmpServiceCell{Class: class, Factor: f, Result: res},
 						SimTime:  res.Elapsed,
 						TimedOut: res.TimedOut,
-						Events:   fired,
+						Events:   int64(sys.Eng.Processed()),
 					}
 				},
 			})
 		}
 	}
 	return jobs
+}
+
+// schedCmpMatmul is the matmul leg's configuration at oversubscription
+// factor f; the kernel class belongs to the System.
+func schedCmpMatmul(cfg SchedCmpConfig, f int) matmul.Config {
+	return matmul.Config{
+		Mode:       stack.ModeBaseline,
+		N:          cfg.N,
+		TaskSize:   cfg.TaskSize,
+		OMPThreads: f,
+		Reps:       cfg.Reps,
+		Horizon:    cfg.Horizon,
+	}
 }
 
 // AssembleSchedCmp rebuilds the class × factor grids from cell results

@@ -123,9 +123,8 @@ func Table2Jobs(cfg Table2Config) []harness.Job {
 				jobs = append(jobs, harness.Job{
 					Name: fmt.Sprintf("%s-%s-%s/%s/%s", combo.Outer, combo.Inner, implName(combo.Impl), deg.Name, mode),
 					Run: func() harness.Output {
-						var events int64
-						res := cholesky.Run(cholesky.Config{
-							Machine:      cfg.Machine,
+						sys := stack.New(cfg.Machine, cfg.Seed)
+						res := cholesky.Run(sys, cholesky.Config{
 							Mode:         mode,
 							N:            cfg.N,
 							TileSize:     cfg.Tile,
@@ -135,10 +134,8 @@ func Table2Jobs(cfg Table2Config) []harness.Job {
 							OuterThreads: deg.OuterThreads,
 							InnerThreads: deg.InnerThreads,
 							Horizon:      cfg.Horizon,
-							Seed:         cfg.Seed,
-							Events:       &events,
 						})
-						return harness.Output{Value: res, SimTime: res.Elapsed, TimedOut: res.TimedOut, Events: events}
+						return harness.Output{Value: res, SimTime: res.Elapsed, TimedOut: res.TimedOut, Events: int64(sys.Eng.Processed())}
 					},
 				})
 			}

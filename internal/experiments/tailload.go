@@ -8,6 +8,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/load"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workloads/inference"
 )
 
@@ -189,24 +190,8 @@ func TailLoadJobs(cfg TailLoadConfig) []harness.Job {
 				jobs = append(jobs, harness.Job{
 					Name: fmt.Sprintf("%s/%s/load%.2f", shape.Name, scheme.Name, rate),
 					Run: func() harness.Output {
-						var fired int64
-						res := inference.Run(inference.Config{
-							Machine:         cfg.Machine,
-							Scheme:          scheme.Scheme,
-							KernelClass:     scheme.KernelClass,
-							Rate:            rate,
-							Requests:        cfg.Requests,
-							Batches:         cfg.Batches,
-							Scale:           cfg.Scale,
-							Models:          cfg.Models,
-							Horizon:         cfg.Horizon,
-							Seed:            cfg.Seed,
-							Arrivals:        shape.New(rate, cfg.Scale, cfg.Requests),
-							SLO:             cfg.SLO,
-							MaxInFlight:     cfg.MaxInFlight,
-							MetricsInterval: cfg.MetricsInterval,
-							Fired:           &fired,
-						})
+						sys := stack.NewWithClass(cfg.Machine, cfg.Seed, scheme.KernelClass)
+						res := inference.Run(sys, tailLoadCell(cfg, shape, scheme, rate))
 						return harness.Output{
 							Value: TailLoadCell{
 								Shape: shape.Name, Scheme: scheme.Name,
@@ -214,7 +199,7 @@ func TailLoadJobs(cfg TailLoadConfig) []harness.Job {
 							},
 							SimTime:  res.Elapsed,
 							TimedOut: res.TimedOut,
-							Events:   fired,
+							Events:   int64(sys.Eng.Processed()),
 							Samples:  res.Samples,
 						}
 					},
@@ -223,6 +208,25 @@ func TailLoadJobs(cfg TailLoadConfig) []harness.Job {
 		}
 	}
 	return jobs
+}
+
+// tailLoadCell is the microservices configuration of one (shape,
+// scheme, load) cell, with a fresh single-use arrival source; the
+// scheme's kernel class belongs to the System.
+func tailLoadCell(cfg TailLoadConfig, shape TailShape, scheme TailScheme, rate float64) inference.Config {
+	return inference.Config{
+		Scheme:          scheme.Scheme,
+		Rate:            rate,
+		Requests:        cfg.Requests,
+		Batches:         cfg.Batches,
+		Scale:           cfg.Scale,
+		Models:          cfg.Models,
+		Horizon:         cfg.Horizon,
+		Arrivals:        shape.New(rate, cfg.Scale, cfg.Requests),
+		SLO:             cfg.SLO,
+		MaxInFlight:     cfg.MaxInFlight,
+		MetricsInterval: cfg.MetricsInterval,
+	}
 }
 
 // AssembleTailLoad rebuilds the shape × scheme × load grid from ordered

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -15,11 +14,11 @@ import (
 // steal, balance) is class-agnostic and consults only this interface.
 //
 // Implementations embed ClassBase, which carries the kernel binding and
-// queue slot the kernel assigns at construction time. New classes register
-// a constructor with RegisterClass; selection flows through
-// SchedParams.DefaultClass and Thread.SetClass.
+// queue slot the kernel assigns at construction time. Every kernel
+// instantiates each class of the builtinClasses table; selection flows
+// through SchedParams.DefaultClass and Thread.SetClass.
 type Class interface {
-	// Name is the registry key ("fair", "rr", "fifo", "batch").
+	// Name is the class's key ("fair", "rr", "fifo", "batch").
 	Name() string
 	// Rank orders classes for picking and cross-class wake-up
 	// preemption: a waking thread of a lower-ranked class preempts a
@@ -97,63 +96,31 @@ func (b *ClassBase) slot() int                { return b.slotIdx }
 // Kern returns the owning kernel (nil before the class is bound).
 func (b *ClassBase) Kern() *Kernel { return b.kern }
 
-// ClassCtor builds an unbound class instance; the kernel binds it to
-// itself and a queue slot during construction.
-type ClassCtor func() Class
-
-type classRegistration struct {
-	name string
-	ctor ClassCtor
+// builtinClasses returns one unbound instance of every scheduling
+// class, in ClassNames order. It is the fixed constructor table: a new
+// class is one more entry here.
+func builtinClasses() []Class {
+	return []Class{&fairClass{}, &rrClass{}, &fifoClass{}, &batchClass{}}
 }
 
-var classRegistry []classRegistration
-
-// RegisterClass adds a scheduling class constructor under name. Empty or
-// duplicate names panic: class wiring is an init-time programming error.
-// Kernels created afterwards instantiate every registered class.
-func RegisterClass(name string, ctor ClassCtor) {
-	if name == "" {
-		panic("kernel: scheduling class with empty name")
-	}
-	for _, r := range classRegistry {
-		if r.name == name {
-			panic("kernel: duplicate scheduling class " + name)
-		}
-	}
-	classRegistry = append(classRegistry, classRegistration{name, ctor})
-}
-
-// ClassNames returns the registered scheduling-class names in
-// registration order.
+// ClassNames returns the scheduling-class names: fair, rr, fifo, batch.
 func ClassNames() []string {
-	ns := make([]string, len(classRegistry))
-	for i, r := range classRegistry {
-		ns[i] = r.name
+	cs := builtinClasses()
+	ns := make([]string, len(cs))
+	for i, cl := range cs {
+		ns[i] = cl.Name()
 	}
 	return ns
 }
 
-// newClasses instantiates every registered class for kernel k, ordered by
-// ascending rank (stable on registration order), and binds each to its
-// queue slot.
+// newClasses instantiates every class for kernel k, ordered by
+// ascending rank (stable on table order), and binds each to its queue
+// slot.
 func newClasses(k *Kernel) []Class {
-	cs := make([]Class, len(classRegistry))
-	for i, r := range classRegistry {
-		cs[i] = r.ctor()
-		if cs[i].Name() != r.name {
-			panic(fmt.Sprintf("kernel: class registered as %q names itself %q", r.name, cs[i].Name()))
-		}
-	}
+	cs := builtinClasses()
 	sort.SliceStable(cs, func(i, j int) bool { return cs[i].Rank() < cs[j].Rank() })
 	for i, cl := range cs {
 		cl.bind(k, i)
 	}
 	return cs
-}
-
-func init() {
-	RegisterClass("fair", func() Class { return &fairClass{} })
-	RegisterClass("rr", func() Class { return &rrClass{} })
-	RegisterClass("fifo", func() Class { return &fifoClass{} })
-	RegisterClass("batch", func() Class { return &batchClass{} })
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hw"
@@ -28,7 +29,11 @@ func TestRegisteredClasses(t *testing.T) {
 		delete(want, cl.Name())
 	}
 	if len(want) != 0 {
-		t.Fatalf("classes missing from kernel: %v (registered %v)", want, ClassNames())
+		t.Fatalf("classes missing from kernel: %v (have %v)", want, ClassNames())
+	}
+	// The schedcmp rows and job order follow ClassNames.
+	if got := fmt.Sprint(ClassNames()); got != "[fair rr fifo batch]" {
+		t.Fatalf("ClassNames() = %s, want [fair rr fifo batch]", got)
 	}
 	// Pick order is ascending rank: rt classes before fair before batch.
 	cs := k.Classes()

@@ -92,13 +92,6 @@ func (b *Buffer) Events() []Event {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // chromeEvent is the Chrome trace-event JSON schema (subset).
 type chromeEvent struct {
 	Name  string         `json:"name"`

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/glibc"
-	"repro/internal/hw"
 	"repro/internal/rt/omp"
 	"repro/internal/rt/ompss"
 	"repro/internal/rt/tbb"
@@ -58,10 +57,9 @@ func (i InnerKind) String() string {
 	return "pth"
 }
 
-// Config parameterises one Cholesky run.
+// Config parameterises one Cholesky run on the System it is given.
 type Config struct {
-	Machine hw.Config
-	Mode    stack.Mode
+	Mode stack.Mode
 	// N is the matrix size, TileSize the block (paper: 32768 / 1024).
 	N, TileSize int
 	Outer       OuterKind
@@ -71,11 +69,6 @@ type Config struct {
 	// (Mild 8x8, Medium 14x14, High 28x28 on the 112-core node).
 	OuterThreads, InnerThreads int
 	Horizon                    sim.Duration
-	Seed                       uint64
-	// Events, when non-nil, receives the number of engine events the
-	// run fired, for run profiling. It is an out-parameter rather than a
-	// Result field so that Result stays the simulated outcome alone.
-	Events *int64
 }
 
 // Label renders the composition like the paper's row labels.
@@ -100,9 +93,9 @@ type Result struct {
 // tile identifies a matrix tile for the dependency tracker.
 type tile struct{ i, j int }
 
-// Run executes one Cholesky configuration.
-func Run(cfg Config) Result {
-	sys := stack.New(cfg.Machine, cfg.Seed)
+// Run executes one Cholesky configuration on sys, a fresh system the
+// run drives to completion.
+func Run(sys *stack.System, cfg Config) Result {
 	var elapsed sim.Duration
 	var cacheHits int64
 	finished := false
@@ -131,9 +124,6 @@ func Run(cfg Config) Result {
 	timedOut, err := sys.Run(cfg.Horizon)
 	if err != nil {
 		panic(err)
-	}
-	if cfg.Events != nil {
-		*cfg.Events = int64(sys.Eng.Processed())
 	}
 	res := Result{TimedOut: timedOut || !finished, Elapsed: elapsed, CacheHits: cacheHits}
 	if finished && elapsed > 0 {

@@ -11,7 +11,6 @@ import (
 
 func smallCfg(mode stack.Mode, outer OuterKind, inner InnerKind, impl blas.Impl, ot, it int) Config {
 	return Config{
-		Machine:      hw.DualSocket16(),
 		Mode:         mode,
 		N:            4096,
 		TileSize:     512,
@@ -21,9 +20,11 @@ func smallCfg(mode stack.Mode, outer OuterKind, inner InnerKind, impl blas.Impl,
 		OuterThreads: ot,
 		InnerThreads: it,
 		Horizon:      5 * sim.Second,
-		Seed:         1,
 	}
 }
+
+// run executes cfg on a fresh 16-core system seeded 1.
+func run(cfg Config) Result { return Run(stack.New(hw.DualSocket16(), 1), cfg) }
 
 func TestAllCompositionsComplete(t *testing.T) {
 	combos := []struct {
@@ -40,7 +41,7 @@ func TestAllCompositionsComplete(t *testing.T) {
 	for _, c := range combos {
 		for _, mode := range []stack.Mode{stack.ModeBaseline, stack.ModeCoop} {
 			cfg := smallCfg(mode, c.outer, c.inner, c.impl, 4, 4)
-			res := Run(cfg)
+			res := run(cfg)
 			if res.TimedOut || res.GFLOPS <= 0 {
 				t.Fatalf("%s mode=%v: %+v", cfg.Label(), mode, res)
 			}
@@ -52,8 +53,8 @@ func TestCoopBeatsBaselineOnPthreadBackendOversubscribed(t *testing.T) {
 	// Table 2's key row: tbb/pth/blis at high oversubscription, where
 	// thread churn plus preemption hurts the baseline most and glibcv's
 	// thread cache shines.
-	base := Run(smallCfg(stack.ModeBaseline, OuterTbb, InnerPth, blas.BLIS, 8, 8))
-	coop := Run(smallCfg(stack.ModeCoop, OuterTbb, InnerPth, blas.BLIS, 8, 8))
+	base := run(smallCfg(stack.ModeBaseline, OuterTbb, InnerPth, blas.BLIS, 8, 8))
+	coop := run(smallCfg(stack.ModeCoop, OuterTbb, InnerPth, blas.BLIS, 8, 8))
 	if base.TimedOut || coop.TimedOut {
 		t.Fatalf("timeouts: base=%v coop=%v", base.TimedOut, coop.TimedOut)
 	}
@@ -79,8 +80,8 @@ func TestLabel(t *testing.T) {
 func TestMildDegreeNearParity(t *testing.T) {
 	// Mild oversubscription (paper: 1.14 threads/core -> ~1.1x):
 	// speedup should be modest.
-	base := Run(smallCfg(stack.ModeBaseline, OuterTbb, InnerLlvm, blas.OpenBLAS, 4, 4))
-	coop := Run(smallCfg(stack.ModeCoop, OuterTbb, InnerLlvm, blas.OpenBLAS, 4, 4))
+	base := run(smallCfg(stack.ModeBaseline, OuterTbb, InnerLlvm, blas.OpenBLAS, 4, 4))
+	coop := run(smallCfg(stack.ModeCoop, OuterTbb, InnerLlvm, blas.OpenBLAS, 4, 4))
 	if base.TimedOut || coop.TimedOut {
 		t.Fatal("timeout")
 	}

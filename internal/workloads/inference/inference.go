@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/glibc"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/load"
 	"repro/internal/metrics"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/rt/omp"
 	"repro/internal/sim"
 	"repro/internal/stack"
-	"repro/internal/trace"
 )
 
 // Scheme is one of Fig. 4's resource-management schemes.
@@ -75,10 +73,10 @@ func PaperModels() []Model {
 	}
 }
 
-// Config parameterises one benchmark execution.
+// Config parameterises one benchmark execution. The machine, seed,
+// kernel scheduling class and tracer belong to the System it runs on.
 type Config struct {
-	Machine hw.Config
-	Scheme  Scheme
+	Scheme Scheme
 	// Rate is the client request rate in requests per second.
 	Rate float64
 	// Requests is the total client request count (paper: 28).
@@ -90,13 +88,8 @@ type Config struct {
 	Scale   float64
 	Models  []Model
 	Horizon sim.Duration
-	Seed    uint64
 	// GatewayPlanning is the per-request gateway compute.
 	GatewayPlanning sim.Duration
-	// KernelClass selects the kernel scheduling class every thread runs
-	// under ("fair", "rr", "fifo", "batch"); empty keeps the default
-	// fair class. Drives the schedcmp kernel-scheduler ablation.
-	KernelClass string
 	// Arrivals is the client arrival process. Nil keeps the paper's
 	// open-loop Poisson client at Rate (scaled by 1/Scale like the model
 	// works, so the load factor is preserved); custom sources are used
@@ -111,18 +104,11 @@ type Config struct {
 	// handed to the gateway as completions free slots. 0 means no
 	// admission control (the paper's setup).
 	MaxInFlight int
-	// Tracer, when non-nil, records the kernel's scheduling events for
-	// Chrome trace-event export (cmd/uschedsim -trace).
-	Tracer *trace.Buffer
 	// MetricsInterval, when positive, scrapes the run's meter, admission
 	// limiter, and kernel scheduler every interval of simulated time into
 	// Result.Samples. Zero (the default) disables scraping; the
 	// instrumented paths then cost nothing.
 	MetricsInterval sim.Duration
-	// Fired, when non-nil, receives the number of engine events the run
-	// fired: host-side profiling data (events per wall second), not
-	// simulation output.
-	Fired *int64
 }
 
 // RequestTrace records one request's lifecycle (Fig. 4 bottom).
@@ -154,8 +140,8 @@ type Result struct {
 	// Events is the run's engine event count as if every busy-wait poll
 	// had fired: the events fired plus two per poll the engine
 	// fast-forwarded (sim.Engine.Skipped). The paper artefacts'
-	// fingerprints hash it, so it keeps the polled count; Config.Fired
-	// receives the events actually fired.
+	// fingerprints hash it, so it keeps the polled count; the System's
+	// engine reports the events actually fired (sim.Engine.Processed).
 	Events int64
 }
 
@@ -216,7 +202,7 @@ func serverThreads(scheme Scheme, m Model, cores int) int {
 // standalone benchmark (Run, counted recv) and the cluster backend
 // (Service, sentinel recv).
 func startServer(sys *stack.System, mode stack.Mode, m Model, opts glibc.Options,
-	threads, batches int, scale float64, tracer *trace.Buffer, recv func() *request) error {
+	threads, batches int, scale float64, recv func() *request) error {
 	_, err := sys.Start("server-"+m.Name, mode, opts, func(l *glibc.Lib) {
 		gil := l.NewMutex()
 		var rt *omp.Runtime
@@ -244,7 +230,7 @@ func startServer(sys *stack.System, mode stack.Mode, m Model, opts glibc.Options
 				break
 			}
 			name := reqName
-			if tracer != nil {
+			if sys.K.Tracer != nil {
 				name = fmt.Sprintf("%s-req%d", m.Name, req.tag)
 			}
 			handlers = append(handlers, l.PthreadCreate(
@@ -263,8 +249,10 @@ func startServer(sys *stack.System, mode stack.Mode, m Model, opts glibc.Options
 	return err
 }
 
-// Run executes the microservices benchmark.
-func Run(cfg Config) Result {
+// Run executes the microservices benchmark on sys, a fresh system the
+// run drives to completion; a tracer attached to its kernel names each
+// request's threads by request id.
+func Run(sys *stack.System, cfg Config) Result {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
@@ -284,9 +272,7 @@ func Run(cfg Config) Result {
 	if cfg.Scheme == Coop {
 		mode = stack.ModeCoop
 	}
-	sys := stack.NewWithClass(cfg.Machine, cfg.Seed, cfg.KernelClass)
 	k := sys.K
-	k.Tracer = cfg.Tracer
 	cores := k.NumCores()
 
 	// Channels.
@@ -321,7 +307,7 @@ func Run(cfg Config) Result {
 			return in.Recv().(*request)
 		}
 		if err := startServer(sys, mode, m, opts, serverThreads(cfg.Scheme, m, cores),
-			cfg.Batches, cfg.Scale, cfg.Tracer, recv); err != nil {
+			cfg.Batches, cfg.Scale, recv); err != nil {
 			panic(err)
 		}
 	}
@@ -351,7 +337,7 @@ func Run(cfg Config) Result {
 		for n := 0; n < cfg.Requests; n++ {
 			req := gwIn.Recv().(*request)
 			name := "gw-req"
-			if cfg.Tracer != nil {
+			if k.Tracer != nil {
 				name = fmt.Sprintf("gw-req%d", req.tag)
 			}
 			handlers = append(handlers, l.PthreadCreate(
@@ -400,9 +386,6 @@ func Run(cfg Config) Result {
 		ContextSwitches: k.Stats.ContextSwitches,
 		Migrations:      k.Stats.Migrations,
 		Events:          int64(sys.Eng.Processed() + sys.Eng.Skipped()),
-	}
-	if cfg.Fired != nil {
-		*cfg.Fired = int64(sys.Eng.Processed())
 	}
 	if reg != nil {
 		res.Samples = reg.Samples()

@@ -6,10 +6,11 @@ import (
 	"repro/internal/hw"
 	"repro/internal/load"
 	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // fastCfg returns a heavily scaled-down configuration (1% of paper sizing)
-// on the 16-core machine.
+// for the 16-core machine.
 func fastCfg(scheme Scheme, rate float64) Config {
 	models := []Model{
 		{Name: "llama", Work: 5770 * sim.Millisecond, SerialFrac: 0.06, Threads: 8, OptShare: 0.64},
@@ -17,7 +18,6 @@ func fastCfg(scheme Scheme, rate float64) Config {
 		{Name: "roberta", Work: 676 * sim.Millisecond, SerialFrac: 0.06, Threads: 4, OptShare: 0.14},
 	}
 	return Config{
-		Machine:  hw.DualSocket16(),
 		Scheme:   scheme,
 		Rate:     rate,
 		Requests: 6,
@@ -25,13 +25,19 @@ func fastCfg(scheme Scheme, rate float64) Config {
 		Scale:    0.2,
 		Models:   models,
 		Horizon:  10 * sim.Second * 60,
-		Seed:     7,
 	}
+}
+
+// run executes cfg on a fresh 16-core system seeded 7.
+func run(cfg Config) Result { return runSeed(cfg, 7) }
+
+func runSeed(cfg Config, seed uint64) Result {
+	return Run(stack.New(hw.DualSocket16(), seed), cfg)
 }
 
 func TestAllSchemesComplete(t *testing.T) {
 	for _, s := range []Scheme{BlNone, BlEq, BlOpt, BlNoneSeq, Coop} {
-		res := Run(fastCfg(s, 1.0))
+		res := run(fastCfg(s, 1.0))
 		if res.TimedOut {
 			t.Fatalf("%v timed out", s)
 		}
@@ -45,7 +51,7 @@ func TestAllSchemesComplete(t *testing.T) {
 }
 
 func TestTimelineOrdering(t *testing.T) {
-	res := Run(fastCfg(Coop, 1.0))
+	res := run(fastCfg(Coop, 1.0))
 	for _, tr := range res.Timeline {
 		if tr.Completed <= tr.Submitted {
 			t.Fatalf("request %d completed %v before submission %v", tr.ID, tr.Completed, tr.Submitted)
@@ -55,8 +61,8 @@ func TestTimelineOrdering(t *testing.T) {
 
 func TestEqualPartitionWorstAtLoad(t *testing.T) {
 	// bl-eq starves LLaMA (paper: worst latency of all schemes).
-	eq := Run(fastCfg(BlEq, 1.5))
-	none := Run(fastCfg(BlNone, 1.5))
+	eq := run(fastCfg(BlEq, 1.5))
+	none := run(fastCfg(BlNone, 1.5))
 	if eq.TimedOut || none.TimedOut {
 		t.Fatal("timeout")
 	}
@@ -66,8 +72,8 @@ func TestEqualPartitionWorstAtLoad(t *testing.T) {
 }
 
 func TestCoopAtLeastMatchesBlNoneUnderLoad(t *testing.T) {
-	none := Run(fastCfg(BlNone, 2.0))
-	coop := Run(fastCfg(Coop, 2.0))
+	none := run(fastCfg(BlNone, 2.0))
+	coop := run(fastCfg(Coop, 2.0))
 	if none.TimedOut || coop.TimedOut {
 		t.Fatal("timeout")
 	}
@@ -79,8 +85,8 @@ func TestCoopAtLeastMatchesBlNoneUnderLoad(t *testing.T) {
 func TestSeqStableButSlowAtLowRate(t *testing.T) {
 	// At low request rates bl-none-seq leaves cores idle: its latency
 	// must exceed the parallel bl-none.
-	seq := Run(fastCfg(BlNoneSeq, 0.2))
-	none := Run(fastCfg(BlNone, 0.2))
+	seq := run(fastCfg(BlNoneSeq, 0.2))
+	none := run(fastCfg(BlNone, 0.2))
 	if seq.TimedOut || none.TimedOut {
 		t.Fatal("timeout")
 	}
@@ -92,7 +98,7 @@ func TestSeqStableButSlowAtLowRate(t *testing.T) {
 func TestTailMeterTracksExactStats(t *testing.T) {
 	// The streaming tail meter must agree with the exact post-hoc
 	// summary on what it can measure exactly.
-	res := Run(fastCfg(Coop, 1.0))
+	res := run(fastCfg(Coop, 1.0))
 	if res.Tail.Completed != len(res.Latencies) || res.Tail.Offered != len(res.Latencies) {
 		t.Fatalf("tail counts %+v vs %d latencies", res.Tail, len(res.Latencies))
 	}
@@ -110,13 +116,13 @@ func TestSLOViolationAccounting(t *testing.T) {
 	// A 1ns SLO is violated by every request; a huge SLO by none.
 	cfg := fastCfg(Coop, 1.0)
 	cfg.SLO = sim.Nanosecond
-	res := Run(cfg)
+	res := run(cfg)
 	if res.Tail.ViolationFrac != 1 || res.Tail.Goodput != 0 {
 		t.Fatalf("tight SLO: %+v", res.Tail)
 	}
 	cfg = fastCfg(Coop, 1.0)
 	cfg.SLO = 1000 * 3600 * sim.Second
-	res = Run(cfg)
+	res = run(cfg)
 	if res.Tail.ViolationFrac != 0 {
 		t.Fatalf("loose SLO: %+v", res.Tail)
 	}
@@ -129,7 +135,7 @@ func TestCustomArrivalSourceAndAdmission(t *testing.T) {
 	cfg := fastCfg(BlNone, 1.0)
 	cfg.Arrivals = &load.Replay{At: make([]sim.Duration, cfg.Requests)}
 	cfg.MaxInFlight = 1
-	res := Run(cfg)
+	res := run(cfg)
 	if res.TimedOut || len(res.Latencies) != cfg.Requests {
 		t.Fatalf("admission-limited run incomplete: %d/%d (timed out %v)",
 			len(res.Latencies), cfg.Requests, res.TimedOut)
@@ -155,11 +161,10 @@ func TestRepeatedRunsIdenticalInProcess(t *testing.T) {
 	// schedule.
 	cfg := fastCfg(BlNone, 1.0)
 	cfg.Requests = 8
-	cfg.Seed = 12345
 	cfg.Horizon = 4000 * sim.Second
-	first := Run(cfg)
+	first := runSeed(cfg, 12345)
 	for i := 0; i < 3; i++ {
-		res := Run(cfg)
+		res := runSeed(cfg, 12345)
 		if res.Elapsed != first.Elapsed || res.Throughput != first.Throughput {
 			t.Fatalf("run %d diverged: elapsed %v vs %v", i+1, res.Elapsed, first.Elapsed)
 		}

@@ -94,7 +94,7 @@ func NewService(sys *stack.System, cfg ServiceConfig, done func(id int)) (*Servi
 			return req
 		}
 		if err := startServer(sys, mode, m, opts, serverThreads(cfg.Scheme, m, cores),
-			cfg.Batches, cfg.Scale, k.Tracer, recv); err != nil {
+			cfg.Batches, cfg.Scale, recv); err != nil {
 			return nil, err
 		}
 	}

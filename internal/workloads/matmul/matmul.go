@@ -8,46 +8,26 @@ package matmul
 import (
 	"repro/internal/blas"
 	"repro/internal/glibc"
-	"repro/internal/hw"
 	"repro/internal/rt/omp"
 	"repro/internal/rt/ompss"
 	"repro/internal/sim"
 	"repro/internal/stack"
-	"repro/internal/trace"
-	"repro/internal/usf"
 )
 
-// Config parameterises one matmul run.
+// Config parameterises one matmul run. The machine, seed, kernel
+// class, SCHED_COOP tuning and tracer belong to the System it runs on.
 type Config struct {
-	Machine hw.Config
-	Mode    stack.Mode
+	Mode stack.Mode
 	// N is the matrix dimension; TaskSize the block size (paper: N =
 	// 32768; the scaled default is 8192).
 	N, TaskSize int
 	// OMPThreads is the inner (BLIS/OpenMP) team width.
 	OMPThreads int
-	// OuterWorkers is the Nanos6 pool width (default: all cores).
-	OuterWorkers int
 	// Reps repeats the whole multiplication (the paper loops >= 60 s).
 	Reps int
 	// Horizon aborts the run (the paper's 15-minute timeout; white
 	// squares in Fig. 3).
 	Horizon sim.Duration
-	Seed    uint64
-	// Coop overrides the SCHED_COOP policy configuration (ablations);
-	// nil uses the paper defaults.
-	Coop *usf.CoopConfig
-	// KernelClass selects the kernel scheduling class every thread runs
-	// under ("fair", "rr", "fifo", "batch"); empty keeps the default
-	// fair class. Drives the schedcmp kernel-scheduler ablation.
-	KernelClass string
-	// Tracer, when non-nil, records the kernel's scheduling events for
-	// Chrome trace-event export (cmd/uschedsim -trace).
-	Tracer *trace.Buffer
-	// Events, when non-nil, receives the number of engine events the
-	// run fired, for run profiling. It is an out-parameter rather than a
-	// Result field so that Result stays the simulated outcome alone.
-	Events *int64
 }
 
 // Result reports one run.
@@ -76,26 +56,18 @@ func (c Config) MaxParallelTasks() int {
 	return nb * nb
 }
 
-// Run executes one matmul configuration on a fresh simulated system.
-func Run(cfg Config) Result {
+// Run executes one matmul configuration on sys, a fresh system the run
+// drives to completion (the Nanos6 pool spans all of its cores).
+func Run(sys *stack.System, cfg Config) Result {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 1
 	}
-	sys := stack.NewWithClass(cfg.Machine, cfg.Seed, cfg.KernelClass)
-	if cfg.Coop != nil {
-		sys.CoopConfig = *cfg.Coop
-	}
-	sys.K.Tracer = cfg.Tracer
 	var elapsed sim.Duration
 	finished := false
 
 	_, err := sys.Start("matmul", cfg.Mode, glibc.Options{}, func(l *glibc.Lib) {
 		nb := cfg.N / cfg.TaskSize
-		workers := cfg.OuterWorkers
-		if workers <= 0 {
-			workers = l.K.NumCores()
-		}
-		outer := ompss.New(l, ompss.Config{Workers: workers, WaitPolicy: ompss.WaitPassive})
+		outer := ompss.New(l, ompss.Config{Workers: l.K.NumCores(), WaitPolicy: ompss.WaitPassive})
 		inner := omp.New(l, omp.Config{
 			Flavor:     omp.Libomp,
 			NumThreads: cfg.OMPThreads,
@@ -135,9 +107,6 @@ func Run(cfg Config) Result {
 	timedOut, err := sys.Run(cfg.Horizon)
 	if err != nil {
 		panic(err)
-	}
-	if cfg.Events != nil {
-		*cfg.Events = int64(sys.Eng.Processed())
 	}
 	res := Result{
 		TimedOut:        timedOut || !finished,

@@ -8,22 +8,23 @@ import (
 	"repro/internal/stack"
 )
 
-// smallCfg returns a fast configuration on the 16-core machine.
+// smallCfg returns a fast configuration for the 16-core machine.
 func smallCfg(mode stack.Mode, ts, ompThreads int) Config {
 	return Config{
-		Machine:    hw.DualSocket16(),
 		Mode:       mode,
 		N:          2048,
 		TaskSize:   ts,
 		OMPThreads: ompThreads,
 		Reps:       1,
 		Horizon:    2 * sim.Second,
-		Seed:       1,
 	}
 }
 
+// run executes cfg on a fresh 16-core system seeded 1.
+func run(cfg Config) Result { return Run(stack.New(hw.DualSocket16(), 1), cfg) }
+
 func TestBaselineCompletes(t *testing.T) {
-	res := Run(smallCfg(stack.ModeBaseline, 512, 2))
+	res := run(smallCfg(stack.ModeBaseline, 512, 2))
 	if res.TimedOut {
 		t.Fatal("baseline run timed out")
 	}
@@ -33,7 +34,7 @@ func TestBaselineCompletes(t *testing.T) {
 }
 
 func TestCoopCompletes(t *testing.T) {
-	res := Run(smallCfg(stack.ModeCoop, 512, 2))
+	res := run(smallCfg(stack.ModeCoop, 512, 2))
 	if res.TimedOut {
 		t.Fatal("coop run timed out")
 	}
@@ -43,7 +44,7 @@ func TestCoopCompletes(t *testing.T) {
 }
 
 func TestManualCompletes(t *testing.T) {
-	res := Run(smallCfg(stack.ModeManual, 512, 2))
+	res := run(smallCfg(stack.ModeManual, 512, 2))
 	if res.TimedOut || res.GFLOPS <= 0 {
 		t.Fatalf("manual run failed: %+v", res)
 	}
@@ -51,8 +52,8 @@ func TestManualCompletes(t *testing.T) {
 
 func TestCoopReducesPreemptionsUnderOversubscription(t *testing.T) {
 	// 16 cores, 4x4 blocks * 8 OMP threads => up to 128 busy threads.
-	base := Run(smallCfg(stack.ModeBaseline, 512, 8))
-	coop := Run(smallCfg(stack.ModeCoop, 512, 8))
+	base := run(smallCfg(stack.ModeBaseline, 512, 8))
+	coop := run(smallCfg(stack.ModeCoop, 512, 8))
 	if base.TimedOut || coop.TimedOut {
 		t.Fatalf("timeouts: base=%v coop=%v", base.TimedOut, coop.TimedOut)
 	}
@@ -65,8 +66,8 @@ func TestCoopReducesPreemptionsUnderOversubscription(t *testing.T) {
 func TestOriginalWorstUnderHeavyOversubscription(t *testing.T) {
 	// The Original stack (no yield in busy-wait barriers) must be
 	// clearly slower than Baseline when oversubscribed (Fig. 3d).
-	orig := Run(smallCfg(stack.ModeOriginal, 256, 8))
-	base := Run(smallCfg(stack.ModeBaseline, 256, 8))
+	orig := run(smallCfg(stack.ModeOriginal, 256, 8))
+	base := run(smallCfg(stack.ModeBaseline, 256, 8))
 	if base.TimedOut {
 		t.Fatal("baseline timed out")
 	}
@@ -79,8 +80,8 @@ func TestOriginalWorstUnderHeavyOversubscription(t *testing.T) {
 func TestUnderusedRegionInsensitive(t *testing.T) {
 	// Lower-left of Fig. 3: fewer threads than cores => all modes are
 	// roughly equal (speedup ~1.0).
-	base := Run(smallCfg(stack.ModeBaseline, 1024, 2))
-	coop := Run(smallCfg(stack.ModeCoop, 1024, 2))
+	base := run(smallCfg(stack.ModeBaseline, 1024, 2))
+	coop := run(smallCfg(stack.ModeCoop, 1024, 2))
 	if base.TimedOut || coop.TimedOut {
 		t.Fatal("timeout in underused config")
 	}
@@ -98,8 +99,8 @@ func TestMaxParallelTasksLabel(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := Run(smallCfg(stack.ModeCoop, 512, 4))
-	b := Run(smallCfg(stack.ModeCoop, 512, 4))
+	a := run(smallCfg(stack.ModeCoop, 512, 4))
+	b := run(smallCfg(stack.ModeCoop, 512, 4))
 	if a.GFLOPS != b.GFLOPS || a.Elapsed != b.Elapsed {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}

@@ -67,9 +67,9 @@ func (s Scenario) perSocket() bool {
 	return s == ColocationNode || s == CoexecutionNode || s == SchedCoopNode
 }
 
-// Config parameterises one MD evaluation.
+// Config parameterises one MD evaluation on the System it is given,
+// whose machine topology places the ranks.
 type Config struct {
-	Machine  hw.Config
 	Scenario Scenario
 	// Ensembles is the ensemble count (paper: 2).
 	Ensembles int
@@ -90,17 +90,12 @@ type Config struct {
 	// InitWork is the sequential per-ensemble initialisation cost.
 	InitWork sim.Duration
 	Horizon  sim.Duration
-	Seed     uint64
-	// Events, when non-nil, receives the number of engine events the
-	// run fired, for run profiling. It is an out-parameter rather than a
-	// Result field so that Result stays the simulated outcome alone.
-	Events *int64
 }
 
-// DefaultConfig returns the paper-shaped configuration on MareNostrum5.
+// DefaultConfig returns the paper-shaped configuration for MareNostrum5
+// (hw.MareNostrum5; the paper's seed is 11).
 func DefaultConfig(s Scenario) Config {
 	cfg := Config{
-		Machine:          hw.MareNostrum5(),
 		Scenario:         s,
 		Ensembles:        2,
 		RanksPerEnsemble: 56,
@@ -112,7 +107,6 @@ func DefaultConfig(s Scenario) Config {
 		BWPerThread:      2.0,
 		InitWork:         20 * sim.Second,
 		Horizon:          3000 * sim.Second,
-		Seed:             11,
 	}
 	if s.Colocated() {
 		cfg.RanksPerEnsemble = 28
@@ -175,14 +169,15 @@ func maxF(a, b float64) float64 {
 	return b
 }
 
-// Run executes one scenario.
-func Run(cfg Config) Result {
-	sys := stack.New(cfg.Machine, cfg.Seed)
+// Run executes one scenario on sys, a fresh system the run drives to
+// completion.
+func Run(sys *stack.System, cfg Config) Result {
 	k := sys.K
+	topo := k.HW.Topo
 
 	// Bandwidth tracing: per-socket consumption summed into one series.
 	bw := &metrics.Series{}
-	perSocket := make([]float64, cfg.Machine.Topo.Sockets)
+	perSocket := make([]float64, topo.Sockets)
 	k.BWSample = func(at sim.Time, socket int, used float64) {
 		perSocket[socket] = used
 		total := 0.0
@@ -208,7 +203,7 @@ func Run(cfg Config) Result {
 		remaining := cfg.RanksPerEnsemble
 		for r := 0; r < cfg.RanksPerEnsemble; r++ {
 			r := r
-			opts := glibc.Options{Affinity: rankMask(cfg, e, r)}
+			opts := glibc.Options{Affinity: rankMask(cfg, topo, e, r)}
 			_, err := sys.Start(fmt.Sprintf("lmp-e%d-r%d", e, r), mode, opts, func(l *glibc.Lib) {
 				runRank(cfg, l, world, e, r)
 				remaining--
@@ -237,9 +232,6 @@ func Run(cfg Config) Result {
 	if err != nil {
 		panic(err)
 	}
-	if cfg.Events != nil {
-		*cfg.Events = int64(sys.Eng.Processed())
-	}
 	end := sys.Eng.Now()
 	res := Result{BW: bw, TimedOut: timedOut || finished < cfg.Ensembles, Elapsed: sim.Duration(end)}
 	if res.TimedOut {
@@ -263,8 +255,7 @@ func Run(cfg Config) Result {
 }
 
 // rankMask returns the rank's process cpuset per scenario.
-func rankMask(cfg Config, e, r int) kernel.Mask {
-	topo := cfg.Machine.Topo
+func rankMask(cfg Config, topo hw.Topology, e, r int) kernel.Mask {
 	cores := topo.Cores()
 	switch {
 	case cfg.Scenario == Exclusive:

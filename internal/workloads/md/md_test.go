@@ -5,12 +5,12 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
-// smallCfg is a shrunken instance on the 16-core dual-socket machine.
+// smallCfg is a shrunken instance for the 16-core dual-socket machine.
 func smallCfg(s Scenario) Config {
 	cfg := Config{
-		Machine:          hw.DualSocket16(),
 		Scenario:         s,
 		Ensembles:        2,
 		RanksPerEnsemble: 8,
@@ -22,13 +22,15 @@ func smallCfg(s Scenario) Config {
 		BWPerThread:      2.0,
 		InitWork:         500 * sim.Millisecond,
 		Horizon:          1200 * sim.Second,
-		Seed:             11,
 	}
 	if s.Colocated() {
 		cfg.RanksPerEnsemble = 4
 	}
 	return cfg
 }
+
+// run executes cfg on a fresh 16-core dual-socket system seeded 11.
+func run(cfg Config) Result { return Run(stack.New(hw.DualSocket16(), 11), cfg) }
 
 func TestAtomDistributionImbalanced(t *testing.T) {
 	cfg := smallCfg(Exclusive)
@@ -56,7 +58,7 @@ func TestAllScenariosComplete(t *testing.T) {
 		Exclusive, ColocationNode, ColocationSocket,
 		CoexecutionNode, CoexecutionSocket, SchedCoopNode, SchedCoopSocket,
 	} {
-		res := Run(smallCfg(s))
+		res := run(smallCfg(s))
 		if res.TimedOut {
 			t.Fatalf("%v timed out", s)
 		}
@@ -67,8 +69,8 @@ func TestAllScenariosComplete(t *testing.T) {
 }
 
 func TestExclusiveBestPerEnsembleWorstAggregate(t *testing.T) {
-	ex := Run(smallCfg(Exclusive))
-	coop := Run(smallCfg(SchedCoopNode))
+	ex := run(smallCfg(Exclusive))
+	coop := run(smallCfg(SchedCoopNode))
 	if ex.TimedOut || coop.TimedOut {
 		t.Fatal("timeout")
 	}
@@ -85,8 +87,8 @@ func TestExclusiveBestPerEnsembleWorstAggregate(t *testing.T) {
 }
 
 func TestCoopBeatsCoexecution(t *testing.T) {
-	co := Run(smallCfg(CoexecutionNode))
-	coop := Run(smallCfg(SchedCoopNode))
+	co := run(smallCfg(CoexecutionNode))
+	coop := run(smallCfg(SchedCoopNode))
 	if co.TimedOut || coop.TimedOut {
 		t.Fatal("timeout")
 	}
@@ -96,7 +98,7 @@ func TestCoopBeatsCoexecution(t *testing.T) {
 }
 
 func TestBandwidthTraceRecorded(t *testing.T) {
-	res := Run(smallCfg(SchedCoopNode))
+	res := run(smallCfg(SchedCoopNode))
 	if res.BW.Len() < 10 {
 		t.Fatalf("bandwidth series has %d samples", res.BW.Len())
 	}

@@ -136,8 +136,8 @@ func NewEngine(seed uint64) *sim.Engine { return sim.NewEngine(seed) }
 
 // Kernel scheduling classes. The simulated kernel's scheduler is a set
 // of pluggable classes (kernel.Class): EEVDF-style fair, SCHED_RR,
-// SCHED_FIFO, and SCHED_BATCH ship built in, and new classes register
-// with kernel.RegisterClass.
+// SCHED_FIFO, and SCHED_BATCH, listed in the constructor table of
+// internal/kernel/class.go.
 type (
 	// KernelSchedParams are the simulated kernel's scheduler tunables,
 	// including the DefaultClass every thread starts in.
@@ -163,10 +163,18 @@ func NewSystemWithClass(machine MachineSpec, seed uint64, class string) *System 
 	return stack.NewWithClass(machine, seed, class)
 }
 
-// KernelClasses returns the registered kernel scheduling-class names.
+// KernelClasses returns the kernel scheduling-class names: fair, rr,
+// fifo, batch.
 func KernelClasses() []string { return kernel.ClassNames() }
 
-// Workload configurations and single-run entry points.
+// Workload configurations and single-run entry points. A workload runs
+// on the System it is given, as an application runs on the machine and
+// scheduler it is deployed on: the machine, seed, kernel class
+// (NewSystemWithClass), SCHED_COOP tuning (System.CoopConfig) and
+// tracer (System.K.Tracer) belong to the System, not to the workload's
+// config. Each Run* drives its System's engine to completion, so give
+// every run a fresh System; its engine's Processed() then counts the
+// events the run fired.
 type (
 	// MatmulConfig parameterises the §5.3 nested-runtime matmul.
 	MatmulConfig = matmul.Config
@@ -204,17 +212,20 @@ const (
 	InferenceCoop = inference.Coop
 )
 
-// RunMatmul executes one nested-runtime matmul configuration.
-func RunMatmul(cfg MatmulConfig) MatmulResult { return matmul.Run(cfg) }
+// RunMatmul executes one nested-runtime matmul configuration on sys.
+func RunMatmul(sys *System, cfg MatmulConfig) MatmulResult { return matmul.Run(sys, cfg) }
 
-// RunCholesky executes one runtime-composition configuration.
-func RunCholesky(cfg CholeskyConfig) CholeskyResult { return cholesky.Run(cfg) }
+// RunCholesky executes one runtime-composition configuration on sys.
+func RunCholesky(sys *System, cfg CholeskyConfig) CholeskyResult { return cholesky.Run(sys, cfg) }
 
-// RunMicroservices executes one microservices configuration.
-func RunMicroservices(cfg MicroservicesConfig) MicroservicesResult { return inference.Run(cfg) }
+// RunMicroservices executes one microservices configuration on sys.
+func RunMicroservices(sys *System, cfg MicroservicesConfig) MicroservicesResult {
+	return inference.Run(sys, cfg)
+}
 
-// RunMD executes one molecular-dynamics scenario.
-func RunMD(cfg MDConfig) MDResult { return md.Run(cfg) }
+// RunMD executes one molecular-dynamics scenario on sys, whose machine
+// topology places the ranks.
+func RunMD(sys *System, cfg MDConfig) MDResult { return md.Run(sys, cfg) }
 
 // Experiment drivers: full table/figure reproductions.
 type (

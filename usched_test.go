@@ -49,15 +49,13 @@ func TestPublicAPIModes(t *testing.T) {
 }
 
 func TestPublicAPIWorkloadRun(t *testing.T) {
-	res := RunMatmul(MatmulConfig{
-		Machine:    DualSocket16(),
+	res := RunMatmul(NewSystem(DualSocket16(), 1), MatmulConfig{
 		Mode:       SchedCoop,
 		N:          1024,
 		TaskSize:   512,
 		OMPThreads: 2,
 		Reps:       1,
 		Horizon:    2 * sim.Second,
-		Seed:       1,
 	})
 	if res.TimedOut || res.GFLOPS <= 0 {
 		t.Fatalf("matmul via facade failed: %+v", res)
