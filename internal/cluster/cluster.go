@@ -37,15 +37,20 @@
 // # Request-path allocation
 //
 // In steady state the client → node → client attempt path allocates
-// nothing. Flights are recycled through a free list owned by the client
-// engine: a flight returns to it only when it came back from its node
-// while still open (so no cancellation message can still reach it) and
-// the request no longer holds it as its last failed attempt. Timers that
-// can outlive an attempt (retry backoff, hedge) carry the request's
-// rstate, never a flight. A recycled flight is zeroed, so a stale use
-// dies on a nil Cluster at once. Nodes index resident attempts by a
-// slot|generation handle rather than a map, and meters keep counters
-// only: every caller hands back the submission instant it already knows.
+// nothing, and a run's memory follows the requests in flight, not the
+// length of the request train. Per-request state (rstate) and flights
+// are recycled through free lists owned by the client engine. A request
+// takes its state at submission and hands it back the moment it
+// resolves; a flight returns only when it came back from its node while
+// still open (so no cancellation message can still reach it) and the
+// request no longer holds it as its last failed attempt. Timers that can
+// outlive an attempt (retry backoff, hedge) carry the request's rstate,
+// never a flight. Recycled state is zeroed, so a stale use dies on a nil
+// Cluster at once. Nodes index resident attempts by a slot|generation
+// handle rather than a map, and meters keep counters only: every caller
+// hands back the submission instant it already knows. The one
+// per-request array is the span table, allocated at Serve only when
+// Config.Spans asks for it.
 package cluster
 
 import (
@@ -212,17 +217,19 @@ type Config struct {
 // flight is one attempt's routing state, reused across its network
 // hops and, once the attempt is over, recycled for a later one (see
 // Cluster.release). Under a zero RetryPolicy a request is exactly one
-// attempt, and because sources number requests in arrival order,
-// aid == rid. Field ownership is disciplined for sharded runs: rid,
-// aid, node, hedge, and c are immutable after dispatch; closed,
+// attempt, and because sources number requests in arrival order, aid
+// equals the request id. Field ownership is disciplined for sharded
+// runs: rs, aid, node, hedge, and c are immutable after dispatch; closed,
 // reusable, and timeoutEv are touched only on the client engine; bid,
 // atNode, arrive, start, and done only on the node engine until the
 // reply (or failure) message hands the flight back to the client, which
 // is a causal transfer.
 type flight struct {
 	c *Cluster
-	// rid is the request id (spans, sources).
-	rid int
+	// rs is the attempt's request. It is read only while the attempt is
+	// open: once the attempt closes, the request may resolve and its
+	// state be recycled for a later one.
+	rs *rstate
 	// aid is the attempt id: a global dispatch sequence number, the
 	// order a crash fails resident attempts in.
 	aid  int
@@ -284,16 +291,19 @@ type Cluster struct {
 	// notifications at any shard count, so their instants agree.
 	look sim.Duration
 
-	// Resilience state, client-engine-owned. rs is per-request state
-	// (indexed by rid), allocated at Serve; hstate is the client edge's
-	// per-node liveness view, grown by AddNode. Under a zero policy it
-	// stays idle: one attempt per request, every node live.
-	rs         []rstate
-	spare      []*flight // recycled flights, zeroed
-	hstate     []healthState
-	res        Resilience
-	nextAid    int
-	failedReqs int
+	// Resilience state, client-engine-owned. states holds every request
+	// state ever allocated and spareStates the resolved ones, zeroed for
+	// reuse (see newState), so len(states) is the peak number of
+	// unresolved requests; hstate is the client edge's per-node liveness
+	// view, grown by AddNode. Under a zero policy it stays idle: one
+	// attempt per request, every node live.
+	states      []*rstate
+	spareStates []*rstate
+	spare       []*flight // recycled flights, zeroed
+	hstate      []healthState
+	res         Resilience
+	nextAid     int
+	failedReqs  int
 	// healthEpoch advances on every liveness change; liveNodes counts
 	// currently routable nodes.
 	healthEpoch uint64
@@ -490,7 +500,6 @@ func (c *Cluster) Serve(src load.Source, n int) {
 			c.spans[i].ID = i
 		}
 	}
-	c.rs = make([]rstate, n)
 	if c.cfg.Faults != nil {
 		c.cfg.Faults.install(c)
 	}
@@ -586,7 +595,7 @@ func (c *Cluster) hop(n *Node, toNode bool, d sim.Duration, fn func(any), arg an
 func (c *Cluster) submit(id int) {
 	now := c.Eng.Now()
 	c.meter.Submitted(now)
-	rs := &c.rs[id]
+	rs := c.newState()
 	rs.c, rs.rid, rs.submitAt = c, id, now
 	if c.cfg.Retry.Budget != nil {
 		c.cfg.Retry.Budget.Deposit()
@@ -594,7 +603,7 @@ func (c *Cluster) submit(id int) {
 	if c.spans != nil {
 		c.spans[id].Submit = now
 	}
-	c.dispatch(id, false)
+	c.dispatch(rs, false)
 }
 
 // deliverFlight is the attempt's arrival at its node. Runs on the
@@ -705,19 +714,24 @@ func (c *Cluster) abandon(horizon sim.Duration) {
 	for _, n := range c.nodes {
 		n.meter.FailAll()
 	}
-	if c.spans != nil {
-		for i := range c.spans {
-			sp := &c.spans[i]
-			if sp.Reply > 0 || sp.Outcome != "" {
-				continue
-			}
+	if c.spans == nil {
+		return
+	}
+	// Every state still in use belongs to an unresolved request.
+	for _, rs := range c.states {
+		if rs.c == nil {
+			continue
+		}
+		sp := &c.spans[rs.rid]
+		sp.Attempts = rs.attempts
+		if f := rs.primary; f != nil {
+			sp.Node = c.nodes[f.node].Name
+			sp.Arrive, sp.Start, sp.Done = f.arrive, f.start, f.done
+		}
+	}
+	for i := range c.spans {
+		if sp := &c.spans[i]; sp.Reply == 0 && sp.Outcome == "" {
 			sp.Outcome = obs.OutcomeAbandoned
-			rs := &c.rs[i]
-			sp.Attempts = rs.attempts
-			if f := rs.primary; f != nil {
-				sp.Node = c.nodes[f.node].Name
-				sp.Arrive, sp.Start, sp.Done = f.arrive, f.start, f.done
-			}
 		}
 	}
 }

@@ -276,3 +276,64 @@ func TestHedgeLoserAndRetriesRecycleFlights(t *testing.T) {
 		}
 	})
 }
+
+// peakSource wraps a source and tracks how many submitted requests are
+// unresolved at once (submitted, Completed not yet called).
+type peakSource struct {
+	load.Source
+	live, peak int
+}
+
+func (p *peakSource) Start(eng *sim.Engine, rng *sim.Rand, n int, submit func(id int)) {
+	p.Source.Start(eng, rng, n, func(id int) {
+		if p.live++; p.live > p.peak {
+			p.peak = p.live
+		}
+		submit(id)
+	})
+}
+
+func (p *peakSource) Completed(id int) {
+	p.live--
+	p.Source.Completed(id)
+}
+
+func TestRequestStatesBoundedByPeakUnresolved(t *testing.T) {
+	// Request state is recycled the moment a request resolves, so a run
+	// of retries, hedges, timeouts, sheds, and crash failures allocates
+	// no more states than it ever had requests unresolved at once, and
+	// ends with every state back on the free list.
+	const reqs = 800
+	for _, spans := range []bool{false, true} {
+		for _, shards := range []int{1, 2} {
+			cfg := faultFleetConfig()
+			cfg.Spans = spans
+			c := NewSharded(cfg, NewLeastOutstanding(), shards, 5)
+			for i := 0; i < 3; i++ {
+				c.AddSimNode(nodeName(i), SimServiceConfig{
+					Workers: 2, QueueCap: 8, MeanService: 8 * tq, Quantum: tq,
+				})
+			}
+			src := &peakSource{Source: &load.PhasedPoisson{Rate: 16000, Quantum: tq}}
+			c.Serve(src, reqs)
+			if timedOut, err := c.Run(2 * sim.Second); err != nil || timedOut {
+				t.Fatalf("run: timed out %v, %v", timedOut, err)
+			}
+			res := c.Resilience()
+			if res.Retries == 0 || res.Hedges == 0 || res.Timeouts == 0 || res.Failed == 0 {
+				t.Fatalf("resilience machinery under-exercised: %+v", res)
+			}
+			if n := len(c.states); n == 0 || n > src.peak || n >= reqs {
+				t.Fatalf("spans %v, %d shards: %d request states allocated for a peak of %d unresolved of %d",
+					spans, shards, n, src.peak, reqs)
+			}
+			if len(c.spareStates) != len(c.states) || src.live != 0 {
+				t.Fatalf("spans %v, %d shards: %d of %d states back on the free list, %d requests unresolved",
+					spans, shards, len(c.spareStates), len(c.states), src.live)
+			}
+			if (c.spans != nil) != spans {
+				t.Fatalf("span table allocated %v with Config.Spans %v", c.spans != nil, spans)
+			}
+		}
+	}
+}

@@ -71,10 +71,14 @@ type Resilience struct {
 	OrphanDone int
 }
 
-// rstate is one request's resilience state, preallocated per request
-// at Serve and filled in at submission. Client-engine-owned. Timers
-// that can outlive one attempt (retry backoff, hedge) carry the rstate
-// rather than a flight, since the flight may be recycled by then.
+// rstate is one request's resilience state, taken from the client
+// engine's free list at submission and returned, zeroed, the moment the
+// request resolves (see newState and releaseState). Client-engine-owned.
+// Timers that can outlive one attempt (retry backoff, hedge) carry the
+// rstate rather than a flight, since the flight may be recycled by then;
+// none of them outlives the request. A request with an open attempt is
+// unresolved: a reply closes every sibling as it resolves the request,
+// and a request fails only once no attempt is open.
 type rstate struct {
 	c   *Cluster
 	rid int
@@ -84,8 +88,6 @@ type rstate struct {
 	// attempts counts dispatches so far; open counts attempts currently
 	// in flight (≤ 2: primary + hedge).
 	attempts, open int
-	// done marks the request resolved (completed or failed).
-	done bool
 	// hedgeEv is the pending hedge timer for the first attempt.
 	hedgeEv sim.Event
 	// primary and hedge point at the currently open attempts (at most
@@ -216,13 +218,12 @@ func readmitNode(arg any) {
 	h.c.bumpEpoch()
 }
 
-// dispatch issues one attempt of request rid: pick a node, arm the
+// dispatch issues one attempt of request rs: pick a node, arm the
 // deadline and (for a first attempt) the hedge timer, and send the
 // request across the link. Client engine only.
-func (c *Cluster) dispatch(rid int, hedge bool) {
+func (c *Cluster) dispatch(rs *rstate, hedge bool) {
 	now := c.Eng.Now()
-	rs := &c.rs[rid]
-	ni := c.router.Pick(Request{ID: rid, Session: c.session(rid)})
+	ni := c.router.Pick(Request{ID: rs.rid, Session: c.session(rs.rid)})
 	if ni < -1 || ni >= len(c.nodes) {
 		panic(fmt.Sprintf("cluster: router %s picked node %d of %d", c.router.Name(), ni, len(c.nodes)))
 	}
@@ -232,7 +233,7 @@ func (c *Cluster) dispatch(rid int, hedge bool) {
 			// No node to hedge onto; the primary attempt stands alone.
 			return
 		}
-		c.failRequest(rid, now, obs.OutcomeNoNode)
+		c.failRequest(rs, now, obs.OutcomeNoNode)
 		return
 	}
 	n := c.nodes[ni]
@@ -241,7 +242,7 @@ func (c *Cluster) dispatch(rid int, hedge bool) {
 	rs.attempts++
 	rs.open++
 	f := c.newFlight()
-	f.c, f.rid, f.aid, f.node, f.hedge = c, rid, c.nextAid, ni, hedge
+	f.c, f.rs, f.aid, f.node, f.hedge = c, rs, c.nextAid, ni, hedge
 	c.nextAid++
 	if hedge {
 		rs.hedge = f
@@ -268,7 +269,7 @@ func (c *Cluster) closeAttempt(f *flight) bool {
 	f.closed = true
 	f.timeoutEv.Cancel()
 	c.nodes[f.node].outstanding--
-	rs := &c.rs[f.rid]
+	rs := f.rs
 	rs.open--
 	if rs.primary == f {
 		rs.primary = nil
@@ -287,6 +288,30 @@ func (c *Cluster) newFlight() *flight {
 		return f
 	}
 	return new(flight)
+}
+
+// newState pops a recycled request state or allocates a fresh one, so a
+// run allocates no more states than it ever has unresolved requests.
+// Client engine only.
+func (c *Cluster) newState() *rstate {
+	if k := len(c.spareStates); k > 0 {
+		rs := c.spareStates[k-1]
+		c.spareStates = c.spareStates[:k-1]
+		return rs
+	}
+	rs := new(rstate)
+	c.states = append(c.states, rs)
+	return rs
+}
+
+// releaseState zeroes a resolved request's state and puts it on the free
+// list. Nothing may reach it any more: its hedge timer is cancelled, no
+// backoff is pending, and its flights are closed (a closed flight never
+// reads its rs). A stale use dies on the nil Cluster at once. Client
+// engine only.
+func (c *Cluster) releaseState(rs *rstate) {
+	*rs = rstate{}
+	c.spareStates = append(c.spareStates, rs)
 }
 
 // release zeroes a finished flight and puts it on the free list. Only
@@ -314,11 +339,11 @@ func (c *Cluster) setLast(rs *rstate, f *flight) {
 // no sibling, so an open primary here is always the first attempt.
 func fireHedge(arg any) {
 	rs := arg.(*rstate)
-	if rs.primary == nil || rs.done {
+	if rs.primary == nil {
 		return
 	}
 	rs.c.res.Hedges++
-	rs.c.dispatch(rs.rid, true)
+	rs.c.dispatch(rs, true)
 }
 
 // flightTimeout abandons an attempt at its deadline: the node is asked
@@ -356,13 +381,7 @@ func failFlight(arg any) {
 // wait for a sibling attempt, retry under the budget, or fail the
 // request. Client engine only.
 func (c *Cluster) attemptFailed(f *flight, now sim.Time, outcome string) {
-	rs := &c.rs[f.rid]
-	if rs.done {
-		if f.reusable {
-			c.release(f)
-		}
-		return
-	}
+	rs := f.rs
 	c.setLast(rs, f)
 	if rs.open > 0 {
 		return // a sibling (hedge) attempt is still in flight
@@ -370,12 +389,12 @@ func (c *Cluster) attemptFailed(f *flight, now sim.Time, outcome string) {
 	rs.hedgeEv.Cancel()
 	p := c.cfg.Retry
 	if !p.Enabled() || (p.MaxAttempts > 0 && rs.attempts >= p.MaxAttempts) {
-		c.failRequest(f.rid, now, outcome)
+		c.failRequest(rs, now, outcome)
 		return
 	}
 	if p.Budget != nil && !p.Budget.Withdraw() {
 		c.res.Shed++
-		c.failRequest(f.rid, now, obs.OutcomeShed)
+		c.failRequest(rs, now, obs.OutcomeShed)
 		return
 	}
 	c.res.Retries++
@@ -383,13 +402,11 @@ func (c *Cluster) attemptFailed(f *flight, now sim.Time, outcome string) {
 	c.Eng.AfterFunc(delay, redispatch, rs)
 }
 
-// redispatch fires after a retry backoff.
+// redispatch fires after a retry backoff. Nothing resolves a request
+// while its backoff is pending: every attempt of it is closed.
 func redispatch(arg any) {
 	rs := arg.(*rstate)
-	if rs.done {
-		return
-	}
-	rs.c.dispatch(rs.rid, false)
+	rs.c.dispatch(rs, false)
 }
 
 // retryRNG returns the labelled client-engine stream backoff jitter
@@ -433,20 +450,15 @@ func cancelAtNode(arg any) {
 	}
 }
 
-// failRequest resolves request rid as permanently failed. Client engine
-// only.
-func (c *Cluster) failRequest(rid int, now sim.Time, outcome string) {
-	rs := &c.rs[rid]
-	if rs.done {
-		return
-	}
-	rs.done = true
+// failRequest resolves request rs as permanently failed and recycles its
+// state. Client engine only.
+func (c *Cluster) failRequest(rs *rstate, now sim.Time, outcome string) {
 	rs.hedgeEv.Cancel()
 	c.res.Failed++
 	c.failedReqs++
 	c.meter.Failed()
 	if c.spans != nil {
-		sp := &c.spans[rid]
+		sp := &c.spans[rs.rid]
 		sp.Outcome = outcome
 		sp.Attempts = rs.attempts
 		if f := rs.last; f != nil {
@@ -460,6 +472,8 @@ func (c *Cluster) failRequest(rid int, now sim.Time, outcome string) {
 		}
 	}
 	c.setLast(rs, nil)
+	rid := rs.rid
+	c.releaseState(rs)
 	c.src.Completed(rid)
 	c.maybeFinish(now)
 }
@@ -480,13 +494,7 @@ func replyFlight(arg any) {
 	}
 	c.closeAttempt(f)
 	c.recordSuccess(f.node)
-	rid := f.rid
-	rs := &c.rs[rid]
-	if rs.done {
-		c.release(f)
-		return
-	}
-	rs.done = true
+	rs := f.rs
 	rs.hedgeEv.Cancel()
 	c.meter.Completed(rs.submitAt, now)
 	c.completed++
@@ -494,7 +502,7 @@ func replyFlight(arg any) {
 		c.res.HedgeWins++
 	}
 	if c.spans != nil {
-		sp := &c.spans[f.rid]
+		sp := &c.spans[rs.rid]
 		sp.Node = c.nodes[f.node].Name
 		sp.Arrive, sp.Start, sp.Done = f.arrive, f.start, f.done
 		sp.Reply = now
@@ -510,6 +518,8 @@ func replyFlight(arg any) {
 	}
 	c.setLast(rs, nil)
 	c.release(f)
+	rid := rs.rid
+	c.releaseState(rs)
 	c.src.Completed(rid)
 	c.maybeFinish(now)
 }

@@ -322,36 +322,56 @@ func TestMaxEjectedDefaultsToTenPercent(t *testing.T) {
 func TestHorizonAbandonStampsResilientSpans(t *testing.T) {
 	// A resilient run cut off by the horizon must leave no zero-stamped
 	// spans: unresolved requests carry the abandoned outcome and their
-	// attempt counts, and the timeline stats stay well-defined.
-	cfg := faultFleetConfig()
-	c := NewSharded(cfg, NewLeastOutstanding(), 2, 5)
-	for i := 0; i < 3; i++ {
-		c.AddSimNode(nodeName(i), SimServiceConfig{
-			Workers: 2, QueueCap: 8, MeanService: 8 * tq, Quantum: tq,
-		})
+	// attempt counts, one with an attempt still open also its node and
+	// that attempt's hop stamps, and the timeline stats stay
+	// well-defined. The spans are identical at one and two shards.
+	run := func(shards int) (*Cluster, []obs.Span) {
+		c := NewSharded(faultFleetConfig(), NewLeastOutstanding(), shards, 5)
+		for i := 0; i < 3; i++ {
+			c.AddSimNode(nodeName(i), SimServiceConfig{
+				Workers: 2, QueueCap: 8, MeanService: 8 * tq, Quantum: tq,
+			})
+		}
+		c.Serve(&load.PhasedPoisson{Rate: 16000, Quantum: tq}, 800)
+		timedOut, err := c.Run(300 * tq) // ~10ms: mid-outage, mid-train
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !timedOut {
+			t.Fatal("run finished under a horizon chosen to cut it off")
+		}
+		return c, c.Spans()
 	}
-	c.Serve(&load.PhasedPoisson{Rate: 16000, Quantum: tq}, 800)
-	timedOut, err := c.Run(300 * tq) // ~10ms: mid-outage, mid-train
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !timedOut {
-		t.Fatal("run finished under a horizon chosen to cut it off")
-	}
-	abandoned, submitted := 0, 0
-	for i, sp := range c.Spans() {
+	c, spans := run(1)
+	abandoned, submitted, open := 0, 0, 0
+	for i, sp := range spans {
 		if sp.Outcome == "" {
 			t.Fatalf("span %d has no outcome after an abandoned run: %+v", i, sp)
-		}
-		if sp.Outcome == obs.OutcomeAbandoned {
-			abandoned++
 		}
 		if sp.Submit > 0 {
 			submitted++
 		}
+		if sp.Outcome != obs.OutcomeAbandoned {
+			continue
+		}
+		abandoned++
+		if sp.Submit > 0 && sp.Attempts < 1 {
+			t.Fatalf("submitted span %d abandoned with %d attempts: %+v", i, sp.Attempts, sp)
+		}
+		if sp.Node != "" {
+			if sp.Arrive > 0 && sp.Arrive <= sp.Submit {
+				t.Fatalf("span %d arrived at %v, not after its submission: %+v", i, sp.Arrive, sp)
+			}
+			if sp.Attempts >= 1 && sp.Arrive > 0 {
+				open++
+			}
+		}
 	}
 	if abandoned == 0 {
 		t.Fatal("no abandoned spans in a cut-off run")
+	}
+	if open == 0 {
+		t.Fatal("no abandoned span carries its open attempt's node and arrival stamp")
 	}
 	// The meter accounts for every request the source actually submitted
 	// before the cutoff — completed, failed, or failed-at-abandon — and
@@ -359,6 +379,9 @@ func TestHorizonAbandonStampsResilientSpans(t *testing.T) {
 	st := c.Stats()
 	if got := st.EndToEnd.Completed + st.EndToEnd.Failed; got != submitted || submitted == 0 {
 		t.Fatalf("meter accounts for %d requests, want the %d submitted", got, submitted)
+	}
+	if _, spans2 := run(2); !reflect.DeepEqual(spans2, spans) {
+		t.Fatal("abandoned-run spans differ between 1 and 2 shards")
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
@@ -98,8 +97,8 @@ type ChaosConfig struct {
 	// cell.
 	Health cluster.HealthConfig
 
-	// SLO judges goodput; SLOBudget is unused here but kept for
-	// symmetry with the other fleet sweeps.
+	// SLO judges goodput and time-to-recover: a completion within it is
+	// SLO-met.
 	SLO sim.Duration
 
 	Faults   []ChaosFault
@@ -111,14 +110,15 @@ type ChaosConfig struct {
 	Shards  int
 
 	// MetricsInterval and Spans export telemetry like the cluster
-	// sweep. Spans are always recorded internally (the time-to-recover
-	// metric needs reply instants); the flag only controls export.
+	// sweep. Spans are recorded only when exported: the time-to-recover
+	// metric bins SLO-met replies on the end-to-end meter as they arrive.
 	MetricsInterval sim.Duration
 	Spans           bool
 
 	// RecoverWindow and RecoverFrac define recovery: the first window
 	// after ClearAt in which SLO-met completions arrive at ≥
 	// RecoverFrac × Rate, sustained for two consecutive windows.
+	// Non-positive RecoverWindow means 500ms.
 	RecoverWindow sim.Duration
 	RecoverFrac   float64
 }
@@ -269,11 +269,12 @@ func runChaosCell(cfg ChaosConfig, fault ChaosFault, policy ChaosPolicy, router 
 		SLO:             cfg.SLO,
 		Sessions:        cfg.Sessions,
 		MetricsInterval: cfg.MetricsInterval,
-		Spans:           true, // TTR needs reply instants; export is gated below
+		Spans:           cfg.Spans,
 		Retry:           policy.New(cfg),
 		Faults:          fault.Plan(cfg),
 		Health:          cfg.Health,
 	}, router.New(), cfg.Shards, cfg.Seed)
+	cl.Meter().Bin = recoverWindow(cfg)
 	var svcs []*cluster.SimService
 	for i := 0; i < cfg.Nodes; i++ {
 		svcs = append(svcs, cl.AddSimNode(fmt.Sprintf("sim%d", i), cluster.SimServiceConfig{
@@ -294,8 +295,9 @@ func runChaosCell(cfg ChaosConfig, fault ChaosFault, policy ChaosPolicy, router 
 		Stats:          cl.Stats(),
 		Elapsed:        cl.Elapsed(),
 		TimedOut:       timedOut,
-		TTR:            timeToRecover(cfg, fault, cl.Spans()),
+		TTR:            timeToRecover(cfg, fault, cl.Meter()),
 		Samples:        cl.Samples(),
+		Spans:          cl.Spans(),
 		Events:         cl.Events(),
 		Windows:        ws.Windows,
 		WindowWidthSum: ws.WidthSum,
@@ -303,32 +305,30 @@ func runChaosCell(cfg ChaosConfig, fault ChaosFault, policy ChaosPolicy, router 
 	for _, s := range svcs {
 		cell.NodeShed += s.Shed()
 	}
-	if cfg.Spans {
-		cell.Spans = cl.Spans()
-	}
 	return cell
 }
 
-// timeToRecover scans SLO-met completions in reply order and returns
-// how long after the fault cleared the fleet first sustained goodput at
-// RecoverFrac × Rate for two consecutive windows. Negative means never.
-func timeToRecover(cfg ChaosConfig, fault ChaosFault, spans []obs.Span) sim.Duration {
-	w := cfg.RecoverWindow
-	if w <= 0 {
-		w = 500 * sim.Millisecond
+// recoverWindow is the time-to-recover bin width.
+func recoverWindow(cfg ChaosConfig) sim.Duration {
+	if cfg.RecoverWindow <= 0 {
+		return 500 * sim.Millisecond
 	}
-	// Bin SLO-met replies into fixed windows from run start.
-	var replies []sim.Time
-	lastSubmit := sim.Time(0)
-	for _, s := range spans {
-		if s.Submit > lastSubmit {
-			lastSubmit = s.Submit
+	return cfg.RecoverWindow
+}
+
+// timeToRecover reads the end-to-end meter's SLO-met completions per
+// recoverWindow bin (the meter's Bin) and returns how long after the
+// fault cleared the fleet first sustained goodput at RecoverFrac × Rate
+// for two consecutive windows. Negative means never.
+func timeToRecover(cfg ChaosConfig, fault ChaosFault, m *load.Meter) sim.Duration {
+	w := recoverWindow(cfg)
+	met := m.MetBins()
+	count := func(b int) int {
+		if b < len(met) {
+			return met[b]
 		}
-		if s.Complete() && s.Total() <= cfg.SLO {
-			replies = append(replies, s.Reply)
-		}
+		return 0
 	}
-	sort.Slice(replies, func(a, b int) bool { return replies[a] < replies[b] })
 	need := cfg.RecoverFrac * cfg.Rate * w.Seconds()
 	clear := sim.Time(0).Add(fault.ClearAt)
 	// First bin that starts at or after the clear instant, so the
@@ -336,13 +336,9 @@ func timeToRecover(cfg ChaosConfig, fault ChaosFault, spans []obs.Span) sim.Dura
 	firstBin := int((int64(clear) + int64(w) - 1) / int64(w))
 	// Only scan bins while arrivals are still flowing: after the train
 	// ends the offered-rate baseline is meaningless.
-	lastBin := int(int64(lastSubmit) / int64(w))
-	count := make(map[int]int)
-	for _, r := range replies {
-		count[int(int64(r)/int64(w))]++
-	}
+	lastBin := int(int64(m.LastSubmit()) / int64(w))
 	for b := firstBin; b+1 <= lastBin; b++ {
-		if float64(count[b]) >= need && float64(count[b+1]) >= need {
+		if float64(count(b)) >= need && float64(count(b+1)) >= need {
 			return sim.Duration(int64(b)*int64(w)) - fault.ClearAt
 		}
 	}

@@ -16,6 +16,11 @@ type Meter struct {
 	// SLO is the latency objective; completions above it count as
 	// violations. Zero disables SLO accounting (goodput == throughput).
 	SLO sim.Duration
+	// Bin, when positive, bins goodput over time as it happens: every
+	// SLO-met completion counts in the Bin-wide window of simulated time
+	// its instant falls in (see MetBins). Set it before the first
+	// completion. Zero keeps no bins.
+	Bin sim.Duration
 
 	sketch       metrics.Sketch
 	inflight     int
@@ -24,7 +29,9 @@ type Meter struct {
 	failed       int
 	violations   int
 	firstSubmit  sim.Time
+	lastSubmit   sim.Time
 	lastComplete sim.Time
+	metBins      []int
 }
 
 // NewMeter returns a meter judging completions against slo (0 = none).
@@ -39,6 +46,9 @@ func (m *Meter) Submitted(t sim.Time) {
 	if m.submitted == 0 || t < m.firstSubmit {
 		m.firstSubmit = t
 	}
+	if t > m.lastSubmit {
+		m.lastSubmit = t
+	}
 	m.submitted++
 	m.inflight++
 }
@@ -52,6 +62,12 @@ func (m *Meter) Completed(start, t sim.Time) sim.Duration {
 	m.completed++
 	if m.SLO > 0 && lat > m.SLO {
 		m.violations++
+	} else if m.Bin > 0 {
+		b := int(int64(t) / int64(m.Bin))
+		for len(m.metBins) <= b {
+			m.metBins = append(m.metBins, 0)
+		}
+		m.metBins[b]++
 	}
 	if t > m.lastComplete {
 		m.lastComplete = t
@@ -75,6 +91,15 @@ func (m *Meter) FailAll() {
 	m.failed += m.inflight
 	m.inflight = 0
 }
+
+// MetBins returns the SLO-met completion count of every Bin-wide window
+// from time zero: entry b covers [b·Bin, (b+1)·Bin). Windows past the
+// last SLO-met completion are absent (zero). Nil when Bin is zero. The
+// slice is the meter's own; do not modify it.
+func (m *Meter) MetBins() []int { return m.metBins }
+
+// LastSubmit returns the latest submission instant (zero before any).
+func (m *Meter) LastSubmit() sim.Time { return m.lastSubmit }
 
 // InFlight returns the number of submitted-but-unresolved requests.
 func (m *Meter) InFlight() int { return m.inflight }

@@ -563,3 +563,39 @@ func TestDueRunCompacts(t *testing.T) {
 		t.Fatalf("due run array grew to %d entries for a run of at most 2", cap(e.due))
 	}
 }
+
+// TestWheelLevelOneBoundaryBeatsLevelZero pins the tie nextSlot's
+// level-0 fast path must not take: with the cursor exactly on a level-1
+// slot boundary (tick 64k), an event resident on level 1 at 64k+2 comes
+// before a level-0 event at 64k+5 and must cascade first. A fast path
+// that trusted level 0 at that boundary would fire the later event
+// first and run the clock backwards.
+func TestWheelLevelOneBoundaryBeatsLevelZero(t *testing.T) {
+	const k = 5
+	tick := func(n uint64) Time { return Time(n << wheelShift) }
+	e := NewEngine(1)
+	var order []Time
+	rec := func() { order = append(order, e.Now()) }
+	e.At(tick(wheelSlots*k+2), rec) // wheelSlots away from tick 0: level 1
+	if e.wheel.occ[1] == 0 {
+		t.Fatal("event at 64k+2 not on level 1; test scenario broken")
+	}
+	e.At(tick(wheelSlots*k-1), func() {
+		// Draining this slot leaves the cursor exactly on the boundary.
+		if e.wheel.pos != wheelSlots*k {
+			t.Fatalf("cursor at %d, want %d", e.wheel.pos, wheelSlots*k)
+		}
+		e.At(tick(wheelSlots*k+5), rec)
+		if e.wheel.occ[0] == 0 {
+			t.Fatal("event at 64k+5 not on level 0; test scenario broken")
+		}
+		checkInvariants(t, e)
+	})
+	if _, err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{tick(wheelSlots*k + 2), tick(wheelSlots*k + 5)}
+	if len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
+		t.Fatalf("fired at %v, want %v", order, want)
+	}
+}
