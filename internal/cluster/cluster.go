@@ -45,8 +45,9 @@
 // still open (so no cancellation message can still reach it) and the
 // request no longer holds it as its last failed attempt. Timers that can
 // outlive an attempt (retry backoff, hedge) carry the request's rstate,
-// never a flight. Recycled state is zeroed, so a stale use dies on a nil
-// Cluster at once. Nodes index resident attempts by a slot|generation
+// never a flight. A resolved request's flights are all closed, and every
+// handler of a closed flight returns before it reads the request's
+// state, so a recycled state is never reached. Nodes index resident attempts by a slot|generation
 // handle rather than a map, and meters keep counters only: every caller
 // hands back the submission instant it already knows. The one
 // per-request array is the span table, allocated at Serve only when

@@ -306,9 +306,10 @@ func (c *Cluster) newState() *rstate {
 
 // releaseState zeroes a resolved request's state and puts it on the free
 // list. Nothing may reach it any more: its hedge timer is cancelled, no
-// backoff is pending, and its flights are closed (a closed flight never
-// reads its rs). A stale use dies on the nil Cluster at once. Client
-// engine only.
+// backoff is pending, and every one of its flights is closed, so a late
+// reply, timeout or failure of one stops at the f.closed check before it
+// reads f.rs. That check is the guard; zeroing does not catch a stale
+// use. Client engine only.
 func (c *Cluster) releaseState(rs *rstate) {
 	*rs = rstate{}
 	c.spareStates = append(c.spareStates, rs)

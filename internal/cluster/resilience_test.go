@@ -325,7 +325,8 @@ func TestHorizonAbandonStampsResilientSpans(t *testing.T) {
 	// attempt counts, one with an attempt still open also its node and
 	// that attempt's hop stamps, and the timeline stats stay
 	// well-defined. The spans are identical at one and two shards.
-	run := func(shards int) (*Cluster, []obs.Span) {
+	var first []obs.Span
+	for _, shards := range []int{1, 2} {
 		c := NewSharded(faultFleetConfig(), NewLeastOutstanding(), shards, 5)
 		for i := 0; i < 3; i++ {
 			c.AddSimNode(nodeName(i), SimServiceConfig{
@@ -338,50 +339,51 @@ func TestHorizonAbandonStampsResilientSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !timedOut {
-			t.Fatal("run finished under a horizon chosen to cut it off")
+			t.Fatalf("shards=%d: run finished under a horizon chosen to cut it off", shards)
 		}
-		return c, c.Spans()
-	}
-	c, spans := run(1)
-	abandoned, submitted, open := 0, 0, 0
-	for i, sp := range spans {
-		if sp.Outcome == "" {
-			t.Fatalf("span %d has no outcome after an abandoned run: %+v", i, sp)
-		}
-		if sp.Submit > 0 {
-			submitted++
-		}
-		if sp.Outcome != obs.OutcomeAbandoned {
-			continue
-		}
-		abandoned++
-		if sp.Submit > 0 && sp.Attempts < 1 {
-			t.Fatalf("submitted span %d abandoned with %d attempts: %+v", i, sp.Attempts, sp)
-		}
-		if sp.Node != "" {
-			if sp.Arrive > 0 && sp.Arrive <= sp.Submit {
-				t.Fatalf("span %d arrived at %v, not after its submission: %+v", i, sp.Arrive, sp)
+		spans := c.Spans()
+		abandoned, submitted, open := 0, 0, 0
+		for i, sp := range spans {
+			if sp.Outcome == "" {
+				t.Fatalf("shards=%d: span %d has no outcome after an abandoned run: %+v", shards, i, sp)
 			}
-			if sp.Attempts >= 1 && sp.Arrive > 0 {
-				open++
+			if sp.Submit > 0 {
+				submitted++
+			}
+			if sp.Outcome != obs.OutcomeAbandoned {
+				continue
+			}
+			abandoned++
+			if sp.Submit > 0 && sp.Attempts < 1 {
+				t.Fatalf("shards=%d: submitted span %d abandoned with %d attempts: %+v", shards, i, sp.Attempts, sp)
+			}
+			if sp.Node != "" {
+				if sp.Arrive > 0 && sp.Arrive <= sp.Submit {
+					t.Fatalf("shards=%d: span %d arrived at %v, not after its submission: %+v", shards, i, sp.Arrive, sp)
+				}
+				if sp.Attempts >= 1 && sp.Arrive > 0 {
+					open++
+				}
 			}
 		}
-	}
-	if abandoned == 0 {
-		t.Fatal("no abandoned spans in a cut-off run")
-	}
-	if open == 0 {
-		t.Fatal("no abandoned span carries its open attempt's node and arrival stamp")
-	}
-	// The meter accounts for every request the source actually submitted
-	// before the cutoff — completed, failed, or failed-at-abandon — and
-	// no others.
-	st := c.Stats()
-	if got := st.EndToEnd.Completed + st.EndToEnd.Failed; got != submitted || submitted == 0 {
-		t.Fatalf("meter accounts for %d requests, want the %d submitted", got, submitted)
-	}
-	if _, spans2 := run(2); !reflect.DeepEqual(spans2, spans) {
-		t.Fatal("abandoned-run spans differ between 1 and 2 shards")
+		if abandoned == 0 {
+			t.Fatalf("shards=%d: no abandoned spans in a cut-off run", shards)
+		}
+		if open == 0 {
+			t.Fatalf("shards=%d: no abandoned span carries its open attempt's node and arrival stamp", shards)
+		}
+		// The meter accounts for every request the source actually
+		// submitted before the cutoff — completed, failed, or
+		// failed-at-abandon — and no others.
+		st := c.Stats()
+		if got := st.EndToEnd.Completed + st.EndToEnd.Failed; got != submitted || submitted == 0 {
+			t.Fatalf("shards=%d: meter accounts for %d requests, want the %d submitted", shards, got, submitted)
+		}
+		if first == nil {
+			first = spans
+		} else if !reflect.DeepEqual(spans, first) {
+			t.Fatal("abandoned-run spans differ between 1 and 2 shards")
+		}
 	}
 }
 

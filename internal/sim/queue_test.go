@@ -65,14 +65,6 @@ func checkInvariants(t *testing.T, e *Engine) {
 	if wheelTotal != w.count {
 		t.Fatalf("wheel count = %d, recount = %d", w.count, wheelTotal)
 	}
-	if wheelTotal > 0 {
-		// nextSlot's level-0 fast path must agree with the full scan.
-		fl, fs := w.nextSlot()
-		if sl, ss := w.scanSlots(); fl != sl || fs != ss {
-			t.Fatalf("nextSlot = (level %d, tick %d), full scan = (level %d, tick %d), cursor %d",
-				fl, fs, sl, ss, w.pos)
-		}
-	}
 	if want := wheelTotal + dueLive; e.pending != want {
 		t.Fatalf("pending counter = %d, recount = %d (wheel %d, due %d)",
 			e.pending, want, wheelTotal, dueLive)

@@ -153,30 +153,13 @@ func (w *timerWheel) remove(ev *event) {
 }
 
 // nextSlot locates the earliest occupied slot across all levels,
-// returning its level and start tick (in level-0 ticks).
-//
-// Fast path: off a level-1 boundary (pos&mask != 0), a level-0 slot in
-// [pos, pos|mask] wins outright. Every level-k event (k ≥ 1) sits in a
-// slot that starts at a later multiple of 64^k than pos (place puts it
-// at least one level-k slot past the cursor's, and the cursor's own slot
-// cascades before pos enters it), so none starts before pos|mask + 1.
-// On a boundary a level-1 slot may start exactly at pos and must
-// cascade first, so the full scan decides.
+// returning its level and start tick (in level-0 ticks). Each level's
+// bitmap is scanned as a ring from the cursor: bits at or above
+// pos&mask are this revolution, wrapped bits below it are the next.
+// A start-tick tie between levels keeps the higher level — its slot
+// spans the lower one's and must cascade before anything at that
+// instant may drain.
 func (w *timerWheel) nextSlot() (lvl int, startTick uint64) {
-	if r := uint(w.pos & wheelMask); r != 0 {
-		if hi := w.occ[0] >> r; hi != 0 {
-			return 0, w.pos + uint64(bits.TrailingZeros64(hi))
-		}
-	}
-	return w.scanSlots()
-}
-
-// scanSlots is nextSlot's full scan. Each level's bitmap is scanned as
-// a ring from the cursor: bits at or above pos&mask are this
-// revolution, wrapped bits below it are the next. A start-tick tie
-// between levels keeps the higher level — its slot spans the lower
-// one's and must cascade before anything at that instant may drain.
-func (w *timerWheel) scanSlots() (lvl int, startTick uint64) {
 	lvl = -1
 	for l := 0; l < wheelLevels; l++ {
 		if w.occ[l] == 0 {

@@ -564,10 +564,10 @@ func TestDueRunCompacts(t *testing.T) {
 	}
 }
 
-// TestWheelLevelOneBoundaryBeatsLevelZero pins the tie nextSlot's
-// level-0 fast path must not take: with the cursor exactly on a level-1
-// slot boundary (tick 64k), an event resident on level 1 at 64k+2 comes
-// before a level-0 event at 64k+5 and must cascade first. A fast path
+// TestWheelLevelOneBoundaryBeatsLevelZero pins the case where a level-0
+// slot must not win outright: with the cursor exactly on a level-1 slot
+// boundary (tick 64k), an event resident on level 1 at 64k+2 comes
+// before a level-0 event at 64k+5 and must cascade first. A nextSlot
 // that trusted level 0 at that boundary would fire the later event
 // first and run the clock backwards.
 func TestWheelLevelOneBoundaryBeatsLevelZero(t *testing.T) {
