@@ -73,19 +73,22 @@ type Config struct {
 	// BlockingBarrier replaces the busy-wait barrier with blocking
 	// primitives entirely — the "Manual" nOS-V integration of §5.3.
 	BlockingBarrier bool
-	// Phases is the number of internal panel phases per kernel (each
-	// ends at the custom barrier). 2 matches the GotoBLAS structure.
-	Phases int
 	// Efficiency is the fraction of per-core peak the kernel sustains
 	// on large inputs (defaults to 0.85).
 	Efficiency float64
 	// BWPerThread adds a memory-bandwidth demand (bytes/ns) per team
 	// thread, used by bandwidth-bound callers (DeePMD inference).
 	BWPerThread float64
-	// FootprintPerThread sizes the cache working set per thread for
-	// the migration/pollution model. Default 1 MiB.
-	FootprintPerThread int64
 }
+
+const (
+	// phases is the number of internal panel phases per kernel (each
+	// ends at the custom barrier). 2 matches the GotoBLAS structure.
+	phases = 2
+	// footprintPerThread sizes the cache working set per thread for
+	// the migration/pollution model.
+	footprintPerThread = 1 << 20
+)
 
 // Lib is a configured BLAS library inside one process.
 type Lib struct {
@@ -100,14 +103,8 @@ func New(l *glibc.Lib, cfg Config) *Lib {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	if cfg.Phases <= 0 {
-		cfg.Phases = 2
-	}
 	if cfg.Efficiency <= 0 {
 		cfg.Efficiency = 0.85
-	}
-	if cfg.FootprintPerThread <= 0 {
-		cfg.FootprintPerThread = 1 << 20
 	}
 	if cfg.Backend == BackendOpenMP && cfg.OMP == nil {
 		cfg.OMP = omp.New(l, omp.Config{NumThreads: cfg.Threads, WaitPolicy: omp.WaitPassive})
@@ -147,7 +144,7 @@ func (b *Lib) Dpotrf(n int) {
 func (b *Lib) KernelWork(w sim.Duration) {
 	b.Calls++
 	threads := b.cfg.Threads
-	per := sim.Duration(float64(w) / float64(threads) / float64(b.cfg.Phases))
+	per := sim.Duration(float64(w) / float64(threads) / phases)
 	b.runTeam(threads, per)
 }
 
@@ -165,12 +162,12 @@ func (b *Lib) kernel(flops float64, dim int) {
 }
 
 // runTeam executes the library's team structure: each of the threads
-// performs Phases rounds of per-phase compute separated by the internal
+// performs phases rounds of per-phase compute separated by the internal
 // barrier, on the configured backend.
 func (b *Lib) runTeam(threads int, perPhase sim.Duration) {
-	opts := kernel.ComputeOpts{BW: b.cfg.BWPerThread, Footprint: b.cfg.FootprintPerThread}
+	opts := kernel.ComputeOpts{BW: b.cfg.BWPerThread, Footprint: footprintPerThread}
 	if threads <= 1 {
-		b.lib.ComputeOpts(perPhase*sim.Duration(b.cfg.Phases), opts)
+		b.lib.ComputeOpts(perPhase*phases, opts)
 		return
 	}
 	var gb *glibc.Barrier
@@ -184,7 +181,7 @@ func (b *Lib) runTeam(threads int, perPhase sim.Duration) {
 		sb = spin.NewBarrier(b.lib, threads, b.cfg.YieldInBarrier)
 	}
 	body := func(tid int) {
-		for ph := 0; ph < b.cfg.Phases; ph++ {
+		for ph := 0; ph < phases; ph++ {
 			b.lib.ComputeOpts(perPhase, opts)
 			if gb != nil {
 				gb.Wait()
@@ -228,7 +225,7 @@ func (b *Lib) perThreadTime(flops float64, threads, dim int) sim.Duration {
 	}
 	gflops := b.lib.K.HW.CoreGFLOPS * eff
 	total := flops / gflops // ns at one core
-	per := total / float64(threads) / float64(b.cfg.Phases)
+	per := total / float64(threads) / phases
 	// Parallelisation overhead: partition + pack per phase.
 	per += 2000 * float64(threads) / 8
 	return sim.Duration(per)

@@ -48,10 +48,8 @@ func ClusterRouters() []ClusterRouter {
 
 // ClusterConfig parameterises the fleet sweep.
 type ClusterConfig struct {
-	// NodeMachine is every node's hardware; NodeMachines, when
-	// non-empty, overrides it per node (heterogeneous fleets; cycled
-	// when shorter than Nodes).
-	NodeMachine  hw.Config
+	// NodeMachines is the per-node hardware (heterogeneous fleets;
+	// cycled when shorter than Nodes).
 	NodeMachines []hw.Config
 	// Nodes is the fleet size.
 	Nodes int
@@ -108,7 +106,6 @@ func DefaultCluster() ClusterConfig {
 	half.Topo.Sockets = 1
 	half.Topo.CoresPerSocket = 28
 	return ClusterConfig{
-		NodeMachine:  full,
 		NodeMachines: []hw.Config{full, full, full, half},
 		Nodes:        4,
 		Net: cluster.Network{
@@ -142,7 +139,6 @@ func QuickCluster() ClusterConfig {
 	weak.Name = "WeakNode"
 	weak.Topo.CoresPerSocket = 4
 	return ClusterConfig{
-		NodeMachine:  small,
 		NodeMachines: []hw.Config{small, small, weak},
 		Nodes:        3,
 		Net: cluster.Network{
@@ -179,10 +175,7 @@ func ClusterSchemes() []TailScheme {
 
 // nodeMachine returns node i's hardware.
 func (cfg ClusterConfig) nodeMachine(i int) hw.Config {
-	if len(cfg.NodeMachines) > 0 {
-		return cfg.NodeMachines[i%len(cfg.NodeMachines)]
-	}
-	return cfg.NodeMachine
+	return cfg.NodeMachines[i%len(cfg.NodeMachines)]
 }
 
 // ClusterCell is one (shape, scheme, router, load) measurement.

@@ -53,9 +53,6 @@ type Lib struct {
 type Options struct {
 	// USF enables the glibcv backend (the process "enters SCHED_COOP").
 	USF bool
-	// SegmentKey selects the nOS-V shared-memory segment. Empty means
-	// the default system-wide segment.
-	SegmentKey string
 	// Policy creates the scheduling policy if this process is the first
 	// to open the segment. nil falls back to nosv.NewFIFO.
 	Policy func() nosv.Policy
@@ -69,8 +66,6 @@ type Options struct {
 	Nice int
 	// Affinity is the process cpuset (resource-partitioning baselines).
 	Affinity kernel.Mask
-	// UID/GID are the process credentials (nOS-V segment security).
-	UID, GID int
 }
 
 // NewLib attaches a C library instance to proc. Most callers should use
@@ -79,18 +74,13 @@ func NewLib(k *kernel.Kernel, proc *kernel.Process, opts Options) (*Lib, error) 
 	l := &Lib{K: k, Proc: proc}
 	proc.DefaultNice = opts.Nice
 	proc.DefaultAffinity = opts.Affinity.Clone()
-	proc.UID, proc.GID = opts.UID, opts.GID
 	if opts.USF {
 		proc.Env["USF_ENABLE"] = "1"
-		key := opts.SegmentKey
-		if key == "" {
-			key = "nosv-default"
-		}
 		pol := opts.Policy
 		if pol == nil {
 			pol = func() nosv.Policy { return nosv.NewFIFO() }
 		}
-		in, err := nosv.OpenSegment(k, key, proc, pol)
+		in, err := nosv.OpenSegment(k, "nosv-default", proc, pol)
 		if err != nil {
 			return nil, err
 		}

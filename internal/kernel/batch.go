@@ -5,7 +5,7 @@ import "repro/internal/sim"
 // batchClass is SCHED_BATCH: weighted-fair scheduling for threads known
 // to be CPU hogs. It shares the fair class's vruntime clock and per-core
 // min_vruntime (its queue is a separate instance of the same heap), but
-// runs below fair, hands out slices BatchSliceMult times longer, never
+// runs below fair, hands out slices batchSliceMult times longer, never
 // preempts on wake-up, and gets no sleeper bonus — fewer, longer quanta
 // in exchange for latency.
 //
@@ -19,17 +19,13 @@ type batchClass struct{ fairClass }
 func (b *batchClass) Name() string { return "batch" }
 func (b *batchClass) Rank() int    { return rankBatch }
 
-// Slice is the fair slice scaled by BatchSliceMult, computed over the
+// Slice is the fair slice scaled by batchSliceMult, computed over the
 // batch queue's own depth.
 func (b *batchClass) Slice(c *Core, t *Thread) sim.Duration {
 	p := b.kern.Params
-	mult := sim.Duration(p.BatchSliceMult)
-	if mult <= 0 {
-		mult = DefaultBatchSliceMult
-	}
 	nr := c.qs[b.slot()].Len() + 1
-	s := mult * p.TargetLatency / sim.Duration(nr)
-	if min := mult * p.MinGranularity; s < min {
+	s := batchSliceMult * p.TargetLatency / sim.Duration(nr)
+	if min := batchSliceMult * p.MinGranularity; s < min {
 		s = min
 	}
 	return s
@@ -46,6 +42,5 @@ func (b *batchClass) OnWake(c *Core, t *Thread) {
 	}
 }
 
-// DefaultBatchSliceMult is the slice multiplier used when
-// SchedParams.BatchSliceMult is unset.
-const DefaultBatchSliceMult = 4
+// batchSliceMult scales the fair slice for SCHED_BATCH threads.
+const batchSliceMult = 4

@@ -59,9 +59,6 @@ type SchedParams struct {
 	// selects "fair". This is the knob the schedcmp kernel-scheduler
 	// ablation sweeps.
 	DefaultClass string
-	// BatchSliceMult scales the fair slice for SCHED_BATCH threads
-	// (non-positive selects DefaultBatchSliceMult).
-	BatchSliceMult int
 }
 
 // DefaultSchedParams returns parameters approximating a stock 112-core
@@ -77,7 +74,6 @@ func DefaultSchedParams() SchedParams {
 		YieldImmediate:    false,
 		TickInterval:      1 * sim.Millisecond,
 		DefaultClass:      "fair",
-		BatchSliceMult:    DefaultBatchSliceMult,
 	}
 }
 

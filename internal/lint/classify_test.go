@@ -15,7 +15,7 @@ func TestIsDeterministic(t *testing.T) {
 		{"repro/internal/usf", true},
 		{"repro/internal/rt", true},
 		{"repro/internal/rt/omp", true},
-		{"repro/internal/rt/pthreadpool", true},
+		{"repro/internal/rt/tbb", true},
 		{"repro/internal/stack", true},
 		{"repro/internal/load", true},
 		{"repro/internal/cluster", true},

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/glibc"
-	"repro/internal/sim"
 )
 
 // Deps declares a task's data dependencies over opaque region keys.
@@ -18,23 +17,11 @@ type Deps struct {
 	InOut []any
 }
 
-// WaitPolicy mirrors OmpSs-2's worker wait policy.
-type WaitPolicy int
-
-// Wait policies.
-const (
-	WaitPassive WaitPolicy = iota // block when starved (paper's setting)
-	WaitHybrid                    // spin briefly, then block
-)
-
-// Config tunes the runtime.
+// Config tunes the runtime. Workers wait passively, the paper's
+// setting: a starved worker blocks at once.
 type Config struct {
 	// Workers is the pool width (default: all cores).
 	Workers int
-	// WaitPolicy selects idle behaviour.
-	WaitPolicy WaitPolicy
-	// SpinBeforeBlock is the hybrid active phase (default 100µs).
-	SpinBeforeBlock sim.Duration
 }
 
 // Runtime is one process's OmpSs-2 runtime instance.
@@ -77,9 +64,6 @@ type worker struct {
 func New(lib *glibc.Lib, cfg Config) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = lib.K.NumCores()
-	}
-	if cfg.SpinBeforeBlock == 0 {
-		cfg.SpinBeforeBlock = 100 * sim.Microsecond
 	}
 	r := &Runtime{lib: lib, cfg: cfg, regions: make(map[any]*regionState)}
 	for i := 0; i < cfg.Workers; i++ {
@@ -204,7 +188,6 @@ func (r *Runtime) complete(t *task) {
 
 func (w *worker) loop() {
 	r := w.r
-	lib := r.lib
 	for {
 		if r.stopped {
 			return
@@ -217,22 +200,8 @@ func (w *worker) loop() {
 			r.complete(t)
 			continue
 		}
-		switch r.cfg.WaitPolicy {
-		case WaitHybrid:
-			start := lib.K.Eng.Now()
-			for len(r.ready) == 0 && !r.stopped &&
-				lib.K.Eng.Now().Sub(start) < r.cfg.SpinBeforeBlock {
-				lib.Compute(2 * sim.Microsecond)
-			}
-			if len(r.ready) == 0 && !r.stopped {
-				w.blocked = true
-				w.sem.Wait()
-				w.blocked = false
-			}
-		default:
-			w.blocked = true
-			w.sem.Wait()
-			w.blocked = false
-		}
+		w.blocked = true
+		w.sem.Wait()
+		w.blocked = false
 	}
 }

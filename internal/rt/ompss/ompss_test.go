@@ -183,20 +183,46 @@ func TestManyTasksDependencyDiamond(t *testing.T) {
 	}
 }
 
-func TestHybridWaitPolicy(t *testing.T) {
-	runApp(t, 4, false, func(l *glibc.Lib) {
-		r := New(l, Config{Workers: 2, WaitPolicy: WaitHybrid, SpinBeforeBlock: 20 * sim.Microsecond})
-		done := 0
-		for i := 0; i < 6; i++ {
-			r.Task(Deps{}, func() {
-				l.Compute(500 * sim.Microsecond)
-				done++
-			})
-		}
-		r.Taskwait()
-		if done != 6 {
-			t.Errorf("done = %d", done)
-		}
-		r.Shutdown()
-	})
+func TestStarvedWorkersBlockAndWake(t *testing.T) {
+	for _, usf := range []bool{false, true} {
+		runApp(t, 4, usf, func(l *glibc.Lib) {
+			r := New(l, Config{Workers: 2})
+			done := 0
+			r.Task(Deps{}, func() { l.Compute(500 * sim.Microsecond); done++ })
+			r.Taskwait()
+			// Workers block as soon as they starve: beyond the task,
+			// each pays only its startup and block, never a spin.
+			l.Compute(10 * sim.Microsecond)
+			cpu := make([]sim.Duration, len(r.workers))
+			var total sim.Duration
+			for i, w := range r.workers {
+				if !w.blocked || w.pt.KT.State() != kernel.ThreadBlocked {
+					t.Errorf("usf=%v: worker %d not blocked after its queue drained", usf, i)
+				}
+				cpu[i] = w.pt.KT.CPUTime
+				total += cpu[i]
+			}
+			if over := total - 500*sim.Microsecond; over > 20*sim.Microsecond*sim.Duration(len(cpu)) {
+				t.Errorf("usf=%v: workers charged %v beyond their 500µs task", usf, over)
+			}
+			// An idle gap charges them nothing.
+			l.Compute(10 * sim.Millisecond)
+			for i, w := range r.workers {
+				if got := w.pt.KT.CPUTime; got != cpu[i] {
+					t.Errorf("usf=%v: worker %d charged %v while idle", usf, i, got-cpu[i])
+				}
+			}
+			// The next task still wakes a worker.
+			start := l.K.Eng.Now()
+			r.Task(Deps{}, func() { l.Compute(500 * sim.Microsecond); done++ })
+			r.Taskwait()
+			if done != 2 {
+				t.Errorf("usf=%v: done = %d, want 2", usf, done)
+			}
+			if d := l.K.Eng.Now().Sub(start); d > sim.Millisecond {
+				t.Errorf("usf=%v: woken task took %v", usf, d)
+			}
+			r.Shutdown()
+		})
+	}
 }

@@ -8,17 +8,13 @@ import (
 	"fmt"
 
 	"repro/internal/glibc"
-	"repro/internal/sim"
 )
 
-// Config tunes an arena.
+// Config tunes an arena. Workers wait passively, the paper's setting
+// (oneTBB spins by default): a starved worker blocks at once.
 type Config struct {
 	// Workers is the arena width (default: all cores).
 	Workers int
-	// SpinBeforeBlock is the workers' active wait before sleeping
-	// (TBB spins aggressively by default; the paper configures passive
-	// waits — set 0 for fully passive).
-	SpinBeforeBlock sim.Duration
 }
 
 // Arena is a oneTBB task arena.
@@ -134,7 +130,6 @@ func (a *Arena) submit(j *job) {
 
 func (w *worker) loop() {
 	a := w.a
-	lib := a.lib
 	for {
 		if a.stopped {
 			return
@@ -154,16 +149,6 @@ func (w *worker) loop() {
 				}
 			}
 			continue
-		}
-		if spin := a.cfg.SpinBeforeBlock; spin > 0 {
-			start := lib.K.Eng.Now()
-			for len(a.stack) == 0 && !a.stopped &&
-				lib.K.Eng.Now().Sub(start) < spin {
-				lib.Compute(2 * sim.Microsecond)
-			}
-			if len(a.stack) > 0 || a.stopped {
-				continue
-			}
 		}
 		w.blocked = true
 		w.sem.Wait()

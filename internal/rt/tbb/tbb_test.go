@@ -102,3 +102,46 @@ func TestGroupsIndependent(t *testing.T) {
 		a.Shutdown()
 	})
 }
+
+func TestStarvedWorkersBlockAndWake(t *testing.T) {
+	runApp(t, 4, func(l *glibc.Lib) {
+		a := New(l, Config{Workers: 2})
+		g := a.NewGroup()
+		done := 0
+		g.Run(func() { l.Compute(500 * sim.Microsecond); done++ })
+		g.Wait()
+		// Workers block as soon as they starve: beyond the task, each
+		// pays only its startup and block, never a spin.
+		l.Compute(10 * sim.Microsecond)
+		cpu := make([]sim.Duration, len(a.workers))
+		var total sim.Duration
+		for i, w := range a.workers {
+			if !w.blocked || w.pt.KT.State() != kernel.ThreadBlocked {
+				t.Errorf("worker %d not blocked after the stack drained", i)
+			}
+			cpu[i] = w.pt.KT.CPUTime
+			total += cpu[i]
+		}
+		if over := total - 500*sim.Microsecond; over > 20*sim.Microsecond*sim.Duration(len(cpu)) {
+			t.Errorf("workers charged %v beyond their 500µs task", over)
+		}
+		// An idle gap charges them nothing.
+		l.Compute(10 * sim.Millisecond)
+		for i, w := range a.workers {
+			if got := w.pt.KT.CPUTime; got != cpu[i] {
+				t.Errorf("worker %d charged %v while idle", i, got-cpu[i])
+			}
+		}
+		// The next task still wakes a worker.
+		start := l.K.Eng.Now()
+		g.Run(func() { l.Compute(500 * sim.Microsecond); done++ })
+		g.Wait()
+		if done != 2 {
+			t.Errorf("done = %d, want 2", done)
+		}
+		if d := l.K.Eng.Now().Sub(start); d > sim.Millisecond {
+			t.Errorf("woken task took %v", d)
+		}
+		a.Shutdown()
+	})
+}

@@ -160,7 +160,7 @@ func newBLAS(l *glibc.Lib, cfg Config) *blas.Lib {
 // runTaskBased is the dependency-driven variant (GNU OpenMP task depend,
 // modelled on the shared task-dependency engine).
 func runTaskBased(l *glibc.Lib, cfg Config, b *blas.Lib, nb, ts int) {
-	outer := ompss.New(l, ompss.Config{Workers: cfg.OuterThreads, WaitPolicy: ompss.WaitPassive})
+	outer := ompss.New(l, ompss.Config{Workers: cfg.OuterThreads})
 	for k := 0; k < nb; k++ {
 		k := k
 		outer.Task(ompss.Deps{InOut: []any{tile{k, k}}}, func() { b.Dpotrf(ts) })

@@ -88,8 +88,6 @@ type Config struct {
 	Scale   float64
 	Models  []Model
 	Horizon sim.Duration
-	// GatewayPlanning is the per-request gateway compute.
-	GatewayPlanning sim.Duration
 	// Arrivals is the client arrival process. Nil keeps the paper's
 	// open-loop Poisson client at Rate (scaled by 1/Scale like the model
 	// works, so the load factor is preserved); custom sources are used
@@ -167,12 +165,15 @@ func serveBatches(l *glibc.Lib, gil *glibc.Mutex, b *blas.Lib, serial, parallel 
 	}
 }
 
+// gatewayPlanning is the per-request gateway compute at Scale 1.
+const gatewayPlanning = 50 * sim.Millisecond
+
 // gatewayHandle runs one request through the gateway: planning compute,
 // fan-out to every server, then reply collection (poll + recv per
 // server). Shared by the standalone benchmark (Run) and the cluster
 // backend (Service) so the two can never diverge on the reply protocol.
-func gatewayHandle(l *glibc.Lib, req *request, serverIn []*glibc.Chan, planning sim.Duration) {
-	l.Compute(planning)
+func gatewayHandle(l *glibc.Lib, req *request, serverIn []*glibc.Chan, scale float64) {
+	l.Compute(sim.Duration(float64(gatewayPlanning) * scale))
 	for i := range serverIn {
 		serverIn[i].Send(req)
 	}
@@ -205,10 +206,7 @@ func startServer(sys *stack.System, mode stack.Mode, m Model, opts glibc.Options
 	threads, batches int, scale float64, recv func() *request) error {
 	_, err := sys.Start("server-"+m.Name, mode, opts, func(l *glibc.Lib) {
 		gil := l.NewMutex()
-		var rt *omp.Runtime
-		if threads > 1 {
-			rt = omp.New(l, omp.Config{Flavor: omp.Gomp, NumThreads: threads, WaitPolicy: omp.WaitPassive})
-		}
+		rt := omp.New(l, omp.Config{Flavor: omp.Gomp, NumThreads: threads, WaitPolicy: omp.WaitPassive})
 		b := blas.New(l, blas.Config{
 			Impl:           blas.OpenBLAS,
 			Backend:        blas.BackendOpenMP,
@@ -242,9 +240,7 @@ func startServer(sys *stack.System, mode stack.Mode, m Model, opts glibc.Options
 		for _, h := range handlers {
 			l.PthreadJoin(h)
 		}
-		if rt != nil {
-			rt.Shutdown()
-		}
+		rt.Shutdown()
 	})
 	return err
 }
@@ -264,9 +260,6 @@ func Run(sys *stack.System, cfg Config) Result {
 	}
 	if cfg.Models == nil {
 		cfg.Models = PaperModels()
-	}
-	if cfg.GatewayPlanning == 0 {
-		cfg.GatewayPlanning = 50 * sim.Millisecond
 	}
 	mode := stack.ModeBaseline
 	if cfg.Scheme == Coop {
@@ -342,7 +335,7 @@ func Run(sys *stack.System, cfg Config) Result {
 			}
 			handlers = append(handlers, l.PthreadCreate(
 				name, func() {
-					gatewayHandle(l, req, serverIn, sim.Duration(float64(cfg.GatewayPlanning)*cfg.Scale))
+					gatewayHandle(l, req, serverIn, cfg.Scale)
 					now := l.K.Eng.Now()
 					traces = append(traces, RequestTrace{
 						ID: req.id, Submitted: req.sentAt, Completed: now,

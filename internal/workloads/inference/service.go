@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/glibc"
-	"repro/internal/sim"
 	"repro/internal/stack"
 )
 
@@ -21,8 +20,6 @@ type ServiceConfig struct {
 	Scale float64
 	// Models are the inference servers (default PaperModels).
 	Models []Model
-	// GatewayPlanning is the per-request gateway compute (default 50 ms).
-	GatewayPlanning sim.Duration
 	// Started, when non-nil, is invoked with the request id at the
 	// simulated instant the gateway handler begins serving it — before
 	// any planning or fan-out — so span records can separate node-side
@@ -65,9 +62,6 @@ func NewService(sys *stack.System, cfg ServiceConfig, done func(id int)) (*Servi
 	}
 	if cfg.Models == nil {
 		cfg.Models = PaperModels()
-	}
-	if cfg.GatewayPlanning == 0 {
-		cfg.GatewayPlanning = 50 * sim.Millisecond
 	}
 	mode := stack.ModeBaseline
 	if cfg.Scheme == Coop {
@@ -118,7 +112,7 @@ func NewService(sys *stack.System, cfg ServiceConfig, done func(id int)) (*Servi
 					if cfg.Started != nil {
 						cfg.Started(req.id)
 					}
-					gatewayHandle(l, req, serverIn, sim.Duration(float64(cfg.GatewayPlanning)*cfg.Scale))
+					gatewayHandle(l, req, serverIn, cfg.Scale)
 					s.done(req.id)
 				}))
 		}

@@ -67,7 +67,7 @@ func Run(sys *stack.System, cfg Config) Result {
 
 	_, err := sys.Start("matmul", cfg.Mode, glibc.Options{}, func(l *glibc.Lib) {
 		nb := cfg.N / cfg.TaskSize
-		outer := ompss.New(l, ompss.Config{Workers: l.K.NumCores(), WaitPolicy: ompss.WaitPassive})
+		outer := ompss.New(l, ompss.Config{Workers: l.K.NumCores()})
 		inner := omp.New(l, omp.Config{
 			Flavor:     omp.Libomp,
 			NumThreads: cfg.OMPThreads,

@@ -14,7 +14,7 @@
 //     interface over nOS-V, with the paper's SCHED_COOP cooperative
 //     policy (examples/custom-policy writes another as user code);
 //   - the runtime substrates the paper composes (OpenMP gomp/libomp,
-//     OmpSs-2, oneTBB, pthreadpool, OpenBLAS/BLIS, MPICH-like MPI);
+//     OmpSs-2, oneTBB, OpenBLAS/BLIS, MPICH-like MPI);
 //   - the four evaluation workloads (nested matmul, Cholesky runtime
 //     compositions, AI microservices, LAMMPS+DeePMD ensembles) and
 //     drivers that regenerate every table and figure of the paper's
